@@ -191,7 +191,7 @@ fi
 
 if [ "$run_svc" = 1 ]; then
   echo "== Prediction service pass =="
-  # The server's event loop, per-connection write locks, single-flight
+  # The front-end's readers, per-connection write locks, single-flight
   # coalescing, and drain path are the raciest code in the tree: run the
   # whole svc test binary under TSan (same probe-and-skip as the TSan pass).
   if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/ftbesst_tsan_probe 2>/dev/null; then
@@ -219,8 +219,9 @@ fi
 if [ "$run_tier" = 1 ]; then
   echo "== Scaled-tier pass (router tests + soak/chaos under TSan, bench gates) =="
   # The router's reader/proxy/supervisor threads and the warm-handoff path
-  # are the tier's raciest code. Run the router/consistent-hash tests and
-  # the process-level soak + chaos harnesses under TSan; test_tier_slow
+  # are the tier's raciest code. Run the router/consistent-hash tests, the
+  # front-end contract tests against both compositions (Server and Router),
+  # and the process-level soak + chaos harnesses under TSan; test_tier_slow
   # spawns the TSan-built `ftbesst worker` binary (exec-only spawn, no
   # fork-without-exec), so the worker side of every frame is sanitized
   # too. Same probe-and-skip as the other sanitizer passes.
@@ -230,14 +231,14 @@ if [ "$run_tier" = 1 ]; then
       -DFTBESST_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" --target test_svc test_tier_slow
     ./build-tsan/tests/test_svc \
-      --gtest_filter='Router.*:RingHash.*:HashRing.*:Server.Slowloris*:Server.PartialFrames*'
+      --gtest_filter='Router.*:RingHash.*:HashRing.*:Compositions/FrontendContract.*'
     ./build-tsan/tests/test_tier_slow
   else
     echo "!! ThreadSanitizer unavailable; tier tests run unsanitized" >&2
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-release -j "$jobs" --target test_svc test_tier_slow
     ./build-release/tests/test_svc \
-      --gtest_filter='Router.*:RingHash.*:HashRing.*:Server.Slowloris*:Server.PartialFrames*'
+      --gtest_filter='Router.*:RingHash.*:HashRing.*:Compositions/FrontendContract.*'
     ./build-release/tests/test_tier_slow
   fi
 

@@ -1,14 +1,7 @@
 #include "svc/conn.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-
-#include "obs/obs.hpp"
-#include "svc/listen.hpp"
 
 namespace ftbesst::svc {
 
@@ -27,7 +20,7 @@ void Conn::send_frame(std::string_view payload, std::uint32_t max_bytes) {
   try {
     write_frame(fd, payload, max_bytes);
   } catch (const std::exception&) {
-    close_socket();  // peer gone mid-write; the loop sweeps it
+    close_socket();  // peer gone mid-write; the reader sweeps it
   }
 }
 
@@ -45,132 +38,6 @@ void Conn::try_send_frame(std::string_view payload) {
   const ssize_t n =
       ::send(fd, frame.data(), frame.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
   if (n != static_cast<ssize_t>(frame.size())) close_socket();
-}
-
-ReadLoop::ReadLoop(ReadLoopOptions options, Hooks hooks)
-    : options_(options), hooks_(std::move(hooks)) {}
-
-void ReadLoop::accept_on(int listener_fd) {
-  while (true) {
-    const int fd = ::accept(listener_fd, nullptr, nullptr);
-    if (fd < 0) {
-      // EAGAIN: drained (or a sibling reader won the race for this
-      // connection). Transient errors (ECONNABORTED, EMFILE): keep serving.
-      return;
-    }
-    set_cloexec(fd);
-    // Connection fds stay *blocking*: the loop issues exactly one read()
-    // per POLLIN (never blocks with data pending) and responder tasks want
-    // blocking write_full semantics for large responses.
-    auto conn = std::make_shared<Conn>(fd);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (hooks_.on_accept) hooks_.on_accept(conn);
-    conns_.push_back(std::move(conn));
-  }
-}
-
-void ReadLoop::handle_readable(const std::shared_ptr<Conn>& conn) {
-  char buf[64 * 1024];
-  const ssize_t n = ::read(conn->fd, buf, sizeof buf);
-  if (n == 0) {  // peer closed
-    conn->close_socket();
-    return;
-  }
-  if (n < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-    conn->close_socket();
-    return;
-  }
-  conn->buffer.append(buf, static_cast<std::size_t>(n));
-
-  std::string frame;
-  while (true) {
-    try {
-      if (!extract_frame(conn->buffer, frame, options_.max_frame_bytes)) break;
-    } catch (const std::exception& e) {
-      // Oversized frame announcement: the stream is unrecoverable (we
-      // cannot resynchronize), so answer once and drop the connection.
-      if (hooks_.on_frame_error)
-        hooks_.on_frame_error(conn, e.what());
-      else
-        conn->close_socket();
-      return;
-    }
-    hooks_.on_frame(conn, std::move(frame));
-    if (!conn->open.load(std::memory_order_acquire)) return;
-  }
-  // Track how long a partial frame has been pending for the deadline sweep.
-  if (conn->buffer.empty())
-    conn->partial_since_ns = 0;
-  else if (conn->partial_since_ns == 0)
-    conn->partial_since_ns = obs::now_ns();
-}
-
-void ReadLoop::sweep_deadlines() {
-  if (options_.read_deadline_ms <= 0.0) return;
-  const std::uint64_t now = obs::now_ns();
-  const std::uint64_t budget_ns =
-      static_cast<std::uint64_t>(options_.read_deadline_ms * 1e6);
-  for (const auto& conn : conns_) {
-    if (!conn->open.load(std::memory_order_acquire)) continue;
-    if (conn->partial_since_ns == 0 || now - conn->partial_since_ns < budget_ns)
-      continue;
-    read_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    if (hooks_.on_read_timeout)
-      hooks_.on_read_timeout(conn);
-    else
-      conn->close_socket();
-  }
-}
-
-void ReadLoop::run(const std::vector<int>& listener_fds, int wake_fd) {
-  std::vector<pollfd> fds;
-  while (true) {
-    fds.clear();
-    std::size_t wake_idx = 0;
-    if (wake_fd >= 0) fds.push_back({wake_fd, POLLIN, 0});
-    const std::size_t listener_base = fds.size();
-    std::size_t listeners_polled = 0;
-    if (accepting_.load(std::memory_order_acquire)) {
-      for (int fd : listener_fds)
-        if (fd >= 0) fds.push_back({fd, POLLIN, 0});
-      listeners_polled = fds.size() - listener_base;
-    }
-    const std::size_t conn_base = fds.size();
-    for (const auto& conn : conns_) fds.push_back({conn->fd, POLLIN, 0});
-
-    const int rc =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), options_.poll_ms);
-    if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
-
-    if (rc > 0) {
-      if (wake_fd >= 0 && (fds[wake_idx].revents & POLLIN)) {
-        char buf[64];
-        while (::read(wake_fd, buf, sizeof buf) > 0) {
-        }
-      }
-      for (std::size_t i = 0; i < listeners_polled; ++i)
-        if (fds[listener_base + i].revents & POLLIN)
-          accept_on(fds[listener_base + i].fd);
-      // accept_on() appends to conns_, so only the first fds.size() -
-      // conn_base entries have poll results; new arrivals wait a tick.
-      const std::size_t polled = fds.size() - conn_base;
-      for (std::size_t i = 0; i < polled && i < conns_.size(); ++i) {
-        const short revents = fds[conn_base + i].revents;
-        if (revents & (POLLIN | POLLHUP | POLLERR)) handle_readable(conns_[i]);
-      }
-    }
-
-    sweep_deadlines();
-    std::erase_if(conns_, [](const std::shared_ptr<Conn>& conn) {
-      return !conn->open.load(std::memory_order_acquire);
-    });
-
-    if (hooks_.tick(*this)) break;
-  }
-
-  for (const auto& conn : conns_) conn->close_socket();
-  conns_.clear();
 }
 
 }  // namespace ftbesst::svc

@@ -1,26 +1,13 @@
 #pragma once
-// Shared connection + poll-loop machinery for the serving tier.
-//
-// `Conn` is one accepted client connection: a *blocking* fd plus the
-// event-loop-owned read accumulator and the write mutex that serializes
-// response frames. `ReadLoop` is the poll loop that owns every socket
-// read for a set of listeners and their accepted connections — it peels
-// complete length-prefixed frames off each connection and hands them to a
-// callback, enforcing an optional per-connection read deadline so a
-// slowloris client holding a half-written frame can never wedge the loop.
-//
-// Both the single-process `Server` and each `Router` reader thread are
-// instances of this loop; only the frame handler differs (execute locally
-// vs. proxy to a worker shard).
+// One accepted client connection of the serving front-end
+// (svc/frontend.hpp): a *blocking* fd plus the reader-owned read
+// accumulator and the write mutex that serializes response frames.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "svc/wire.hpp"
 
@@ -39,87 +26,22 @@ struct Conn {
   void close_socket() noexcept;
 
   /// Blocking framed send, serialized by `write_mutex`. Closes the socket
-  /// on any write error (peer gone mid-write; the loop sweeps it later).
+  /// on any write error (peer gone mid-write; the reader sweeps it later).
   void send_frame(std::string_view payload, std::uint32_t max_bytes);
 
-  /// Non-blocking single-attempt framed send for loop-thread rejections: a
+  /// Non-blocking single-attempt framed send for reader-thread rejections: a
   /// client too stalled to take a ~100-byte reply (or whose connection is
   /// busy with a large in-progress response) gets dropped — shedding the
   /// slow consumer instead of the whole accept path.
   void try_send_frame(std::string_view payload);
 
   const int fd;
-  std::string buffer;       ///< loop-owned read accumulator
+  std::string buffer;       ///< reader-owned read accumulator
   /// Monotonic ns timestamp of the first byte of a still-incomplete frame;
-  /// 0 when the buffer holds no partial frame. Loop-owned.
+  /// 0 when the buffer holds no partial frame. Reader-owned.
   std::uint64_t partial_since_ns = 0;
   std::mutex write_mutex;   ///< serializes response frames
   std::atomic<bool> open{true};
-};
-
-struct ReadLoopOptions {
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Per-connection read deadline: a connection whose buffer has held an
-  /// incomplete frame for longer than this is answered (via the
-  /// on_read_timeout hook) and closed. 0 disables the sweep.
-  double read_deadline_ms = 0.0;
-  /// Poll timeout cap, so tick() always runs at this cadence even when no
-  /// fd fires (drain completion, deadline sweeps, stray wakeups).
-  int poll_ms = 50;
-};
-
-class ReadLoop {
- public:
-  struct Hooks {
-    /// A complete frame arrived. Required.
-    std::function<void(const std::shared_ptr<Conn>&, std::string&&)> on_frame;
-    /// Oversized frame announcement: the stream cannot be resynchronized.
-    /// The hook should answer once and close; the default just closes.
-    std::function<void(const std::shared_ptr<Conn>&, const char*)>
-        on_frame_error;
-    /// Partial frame exceeded the read deadline. Same contract as
-    /// on_frame_error; the default just closes.
-    std::function<void(const std::shared_ptr<Conn>&)> on_read_timeout;
-    /// A connection was accepted (loop thread; count, don't block).
-    std::function<void(const std::shared_ptr<Conn>&)> on_accept;
-    /// Runs once per wakeup after all events are handled; return true to
-    /// exit the loop (which then closes every remaining connection).
-    /// Required — this is where drain logic lives.
-    std::function<bool(ReadLoop&)> tick;
-  };
-
-  ReadLoop(ReadLoopOptions options, Hooks hooks);
-
-  /// Poll `listener_fds` (non-blocking, shared with sibling loops) plus
-  /// every accepted connection until tick() returns true. `wake_fd`, when
-  /// >= 0, is a read end whose readability wakes the loop early; bytes are
-  /// drained. Listener fds are *not* closed by the loop.
-  void run(const std::vector<int>& listener_fds, int wake_fd = -1);
-
-  /// Drop the listeners from the poll set (call from a hook, before the
-  /// owner closes the fds — a closed fd in the poll set is POLLNVAL).
-  void stop_accepting() noexcept {
-    accepting_.store(false, std::memory_order_release);
-  }
-
-  [[nodiscard]] std::uint64_t accepted() const noexcept {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t read_timeouts() const noexcept {
-    return read_timeouts_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void accept_on(int fd);
-  void handle_readable(const std::shared_ptr<Conn>& conn);
-  void sweep_deadlines();
-
-  ReadLoopOptions options_;
-  Hooks hooks_;
-  std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> read_timeouts_{0};
-  std::vector<std::shared_ptr<Conn>> conns_;  ///< loop-thread-owned
 };
 
 }  // namespace ftbesst::svc

@@ -1,5 +1,5 @@
 #pragma once
-// Listening-socket plumbing shared by Server and Router.
+// Listening-socket plumbing for the serving front-end (svc/frontend.hpp).
 //
 // Both bind helpers return a non-blocking, close-on-exec listening fd that
 // the caller owns. bind_unix carries the daemon's socket-stealing policy:

@@ -1,59 +1,25 @@
 #include "svc/router.hpp"
 
-#include <csignal>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
 
-#include "obs/obs.hpp"
 #include "svc/client.hpp"
-#include "svc/json.hpp"
-#include "svc/listen.hpp"
-#include "svc/registry.hpp"
-#include "svc/worker.hpp"
+
+extern char** environ;
 
 namespace ftbesst::svc {
 
 namespace {
-
-struct RouterMetrics {
-  obs::Counter requests = obs::counter("svc.router.requests");
-  obs::Counter completed = obs::counter("svc.router.completed");
-  obs::Counter rejected_overload =
-      obs::counter("svc.router.rejected.overload");
-  obs::Counter rejected_shutdown =
-      obs::counter("svc.router.rejected.shutdown");
-  obs::Counter shed_degraded = obs::counter("svc.router.shed.degraded");
-  obs::Counter bad_requests = obs::counter("svc.router.bad_requests");
-  obs::Counter coalesced = obs::counter("svc.router.coalesced");
-  obs::Counter routed = obs::counter("svc.router.routed");
-  obs::Counter retries = obs::counter("svc.router.retries");
-  obs::Counter respawns = obs::counter("svc.router.respawns");
-  obs::Counter journal_replayed =
-      obs::counter("svc.router.journal.replayed");
-  obs::Histogram proxy_seconds = obs::histogram(
-      "svc.router.proxy_seconds",
-      {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 300.0});
-};
-
-RouterMetrics& metrics() {
-  static RouterMetrics m;
-  return m;
-}
-
-std::atomic<Router*> g_router_signal_target{nullptr};
-
-void handle_router_stop_signal(int) {
-  if (Router* router =
-          g_router_signal_target.load(std::memory_order_acquire))
-    router->shutdown();
-}
 
 constexpr std::size_t kMaxPooledLinks = 16;
 
@@ -67,6 +33,53 @@ bool wait_exit(pid_t pid, double grace_s) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+}
+
+/// posix_spawnp `argv` (PATH-resolved) with the current environment plus
+/// `extra_env` ("KEY=VALUE" entries override inherited keys). Returns the
+/// child pid; throws std::system_error on spawn failure. Never
+/// fork-without-exec: the router is multithreaded (and may run under
+/// TSan), so children must exec immediately.
+pid_t spawn_process(const std::vector<std::string>& argv,
+                    const std::vector<std::string>& extra_env) {
+  if (argv.empty()) throw std::invalid_argument("spawn_process: empty argv");
+
+  std::vector<char*> argv_ptrs;
+  argv_ptrs.reserve(argv.size() + 1);
+  for (const std::string& arg : argv)
+    argv_ptrs.push_back(const_cast<char*>(arg.c_str()));
+  argv_ptrs.push_back(nullptr);
+
+  // Inherited environment with extra_env overrides (an inherited key also
+  // named in extra_env is dropped, so getenv in the child sees the
+  // override regardless of lookup order).
+  const auto key_of = [](const char* entry) {
+    const char* eq = std::strchr(entry, '=');
+    return std::string_view(entry,
+                            eq ? static_cast<std::size_t>(eq - entry)
+                               : std::strlen(entry));
+  };
+  std::vector<char*> env_ptrs;
+  for (char** e = environ; e && *e; ++e) {
+    bool overridden = false;
+    for (const std::string& extra : extra_env)
+      if (key_of(extra.c_str()) == key_of(*e)) {
+        overridden = true;
+        break;
+      }
+    if (!overridden) env_ptrs.push_back(*e);
+  }
+  for (const std::string& extra : extra_env)
+    env_ptrs.push_back(const_cast<char*>(extra.c_str()));
+  env_ptrs.push_back(nullptr);
+
+  pid_t pid = -1;
+  const int rc = ::posix_spawnp(&pid, argv_ptrs[0], nullptr, nullptr,
+                                argv_ptrs.data(), env_ptrs.data());
+  if (rc != 0)
+    throw std::system_error(rc, std::generic_category(),
+                            "posix_spawnp(" + argv.front() + ")");
+  return pid;
 }
 
 }  // namespace
@@ -93,17 +106,25 @@ struct Router::Slot {
 };
 
 Router::Router(RouterOptions options)
-    : options_(std::move(options)),
+    : Frontend({.unix_socket_path = options.unix_socket_path,
+                .tcp_port = options.tcp_port,
+                .readers = options.readers,
+                .queue_capacity = options.queue_capacity,
+                .default_deadline_ms = options.default_deadline_ms,
+                .read_deadline_ms = options.read_deadline_ms,
+                .max_frame_bytes = options.max_frame_bytes,
+                .role = "tier",
+                .obs_prefix = "svc.router.",
+                .latency_histogram = "svc.router.proxy_seconds"},
+               *this),
+      options_(std::move(options)),
       ring_(std::max<std::size_t>(options_.workers.size(), 1),
             options_.vnodes),
       journal_(options_.journal_max_entries, options_.journal_max_bytes) {
   if (options_.workers.empty())
     throw std::invalid_argument("Router needs at least one worker");
-  if (options_.unix_socket_path.empty() && options_.tcp_port < 0)
-    throw std::invalid_argument("Router needs a unix socket path or tcp port");
   if (options_.readers == 0) options_.readers = 1;
   if (options_.proxy_threads == 0) options_.proxy_threads = 1;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   for (const WorkerSpec& spec : options_.workers) {
     if (spec.socket_path.empty())
       throw std::invalid_argument("WorkerSpec needs a socket path");
@@ -117,102 +138,7 @@ Router::Router(RouterOptions options)
     slots_.push_back(std::make_unique<Slot>(spec));
 }
 
-Router::~Router() {
-  if (g_router_signal_target.load(std::memory_order_acquire) == this)
-    install_signal_handlers(nullptr);
-  if (started_.load(std::memory_order_acquire)) {
-    shutdown();
-    wait();
-  }
-  for (int fd : wake_pipe_)
-    if (fd >= 0) ::close(fd);
-}
-
-void Router::install_signal_handlers(Router* router) {
-  g_router_signal_target.store(router, std::memory_order_release);
-  struct sigaction action {};
-  if (router) {
-    action.sa_handler = handle_router_stop_signal;
-    sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;  // no SA_RESTART: poll() must wake
-  } else {
-    action.sa_handler = SIG_DFL;
-  }
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-}
-
-void Router::start() {
-  if (started_.exchange(true, std::memory_order_acq_rel))
-    throw std::logic_error("Router::start() called twice");
-  ::signal(SIGPIPE, SIG_IGN);
-
-  bool unix_bound = false;
-  try {
-    start_impl(unix_bound);
-  } catch (...) {
-    for (int* fd : {&unix_listener_fd_, &tcp_listener_fd_}) {
-      if (*fd >= 0) ::close(*fd);
-      *fd = -1;
-    }
-    if (unix_bound) ::unlink(options_.unix_socket_path.c_str());
-    for (int& fd : wake_pipe_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    bound_tcp_port_ = -1;
-    started_.store(false, std::memory_order_release);
-    throw;
-  }
-}
-
-void Router::start_impl(bool& unix_bound) {
-  if (::pipe(wake_pipe_) != 0) throw_errno("pipe");
-  for (int fd : wake_pipe_) {
-    set_nonblocking(fd);
-    set_cloexec(fd);
-  }
-  if (!options_.unix_socket_path.empty())
-    unix_listener_fd_ = bind_unix(options_.unix_socket_path, &unix_bound);
-  if (options_.tcp_port >= 0)
-    tcp_listener_fd_ = bind_tcp(options_.tcp_port, &bound_tcp_port_);
-
-  // Threads last: once any thread runs, teardown goes through shutdown()
-  // rather than the catch-cleanup above.
-  proxy_threads_.reserve(options_.proxy_threads);
-  for (std::size_t i = 0; i < options_.proxy_threads; ++i)
-    proxy_threads_.emplace_back([this] { proxy_main(); });
-  supervisor_thread_ = std::thread([this] { supervise(); });
-  reader_threads_.reserve(options_.readers);
-  for (std::size_t i = 0; i < options_.readers; ++i)
-    reader_threads_.emplace_back([this, i] { reader_main(i); });
-  closer_thread_ = std::thread([this] { closer_main(); });
-}
-
-void Router::wait() {
-  {
-    std::unique_lock<std::mutex> lock(stop_mutex_);
-    stop_cv_.wait(lock,
-                  [this] { return stopped_.load(std::memory_order_acquire); });
-  }
-  if (closer_thread_.joinable()) closer_thread_.join();
-}
-
-void Router::run() {
-  start();
-  wait();
-}
-
-void Router::shutdown() {
-  // Async-signal-safe: an atomic store plus one pipe write; the closer
-  // thread performs every non-signal-safe teardown step.
-  draining_.store(true, std::memory_order_release);
-  const int fd = wake_pipe_[1];
-  if (fd >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] ssize_t n = ::write(fd, &byte, 1);
-  }
-}
+Router::~Router() { stop(); }
 
 bool Router::wait_healthy(double timeout_s) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -230,8 +156,6 @@ bool Router::wait_healthy(double timeout_s) {
   }
 }
 
-std::size_t Router::worker_count() const noexcept { return slots_.size(); }
-
 bool Router::worker_healthy(std::size_t index) const {
   return slots_.at(index)->healthy.load(std::memory_order_acquire);
 }
@@ -240,89 +164,27 @@ pid_t Router::worker_pid(std::size_t index) const {
   return slots_.at(index)->pid.load(std::memory_order_acquire);
 }
 
-std::size_t Router::worker_for_key(std::string_view canonical) const {
-  return ring_.lookup(canonical);
-}
-
 // ---------------------------------------------------------------------------
-// Reader side
+// Jobs and proxying
 
-void Router::reader_main(std::size_t index) {
-  ReadLoop::Hooks hooks;
-  hooks.on_accept = [this](const std::shared_ptr<Conn>&) {
-    accepted_connections_.fetch_add(1, std::memory_order_relaxed);
-  };
-  hooks.on_frame = [this](const std::shared_ptr<Conn>& conn,
-                          std::string&& frame) {
-    admit(conn, std::move(frame));
-  };
-  hooks.on_frame_error = [this](const std::shared_ptr<Conn>& conn,
-                                const char* what) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    metrics().bad_requests.add();
-    conn->try_send_frame(error_payload("bad_request", what));
-    conn->close_socket();
-  };
-  hooks.on_read_timeout = [this](const std::shared_ptr<Conn>& conn) {
-    read_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    conn->try_send_frame(error_payload(
-        "read_timeout", "no complete frame within the read deadline"));
-    conn->close_socket();
-  };
-  hooks.tick = [this](ReadLoop& loop) {
-    if (!draining()) return false;
-    loop.stop_accepting();
-    // Exit once admitted work is fully drained; queued jobs count in
-    // in_flight_, so 0 means the proxy pool is idle too.
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  };
-
-  ReadLoop loop(
-      ReadLoopOptions{options_.max_frame_bytes, options_.read_deadline_ms, 50},
-      std::move(hooks));
-  std::vector<int> listeners;
-  if (unix_listener_fd_ >= 0) listeners.push_back(unix_listener_fd_);
-  if (tcp_listener_fd_ >= 0) listeners.push_back(tcp_listener_fd_);
-  // Reader 0 polls the wake pipe; siblings notice drain via the poll cap.
-  loop.run(listeners, index == 0 ? wake_pipe_[0] : -1);
+void Router::launch() {
+  proxy_threads_.reserve(options_.proxy_threads);
+  for (std::size_t i = 0; i < options_.proxy_threads; ++i)
+    proxy_threads_.emplace_back([this] { proxy_main(); });
+  supervisor_thread_ = std::thread([this] { supervise(); });
 }
 
-void Router::admit(const std::shared_ptr<Conn>& conn, std::string&& frame) {
-  if (draining()) {
-    rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    metrics().rejected_shutdown.add();
-    conn->try_send_frame(error_payload("shutting_down", "tier is draining"));
-    return;
-  }
-  // Multiple readers admit concurrently: increment first, roll back when
-  // over — the bound may transiently overshoot by (readers - 1), never
-  // undershoot.
-  if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-      options_.queue_capacity) {
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    metrics().rejected_overload.add();
-    conn->try_send_frame(
-        error_payload("overload", "request queue full (capacity " +
-                                      std::to_string(options_.queue_capacity) +
-                                      "); retry later"));
-    return;
-  }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  metrics().requests.add();
+void Router::submit(std::function<void()> job) {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push_back(ProxyJob{conn, std::move(frame), obs::now_ns()});
+    queue_.push_back(std::move(job));
   }
   queue_cv_.notify_one();
 }
 
-// ---------------------------------------------------------------------------
-// Proxy side
-
 void Router::proxy_main() {
   while (true) {
-    ProxyJob job;
+    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
@@ -331,142 +193,29 @@ void Router::proxy_main() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    execute(std::move(job));
+    job();
   }
 }
 
-void Router::execute(ProxyJob job) {
-  // Mirror of Server::execute's contract: every path answers the client
-  // and reaches the in_flight_ decrement.
-  const auto finish = [this](const std::shared_ptr<Conn>& conn,
-                             std::string_view payload) {
-    conn->send_frame(payload, options_.max_frame_bytes);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics().completed.add();
-  };
-  try {
-    Json request;
-    try {
-      request = Json::parse(job.frame);
-      if (!request.is_object())
-        throw std::invalid_argument("request must be a JSON object");
-    } catch (const std::exception& e) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      metrics().bad_requests.add();
-      job.conn->send_frame(error_payload("bad_request", e.what()),
-                           options_.max_frame_bytes);
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      return;
-    }
-
-    const double deadline_ms =
-        request.number_or("deadline_ms", options_.default_deadline_ms);
-    if (deadline_ms > 0.0) {
-      const double waited_ms =
-          static_cast<double>(obs::now_ns() - job.arrival_ns) * 1e-6;
-      if (waited_ms > deadline_ms) {
-        job.conn->send_frame(
-            error_payload("deadline",
-                          "deadline of " + std::to_string(deadline_ms) +
-                              " ms expired while queued (waited " +
-                              std::to_string(waited_ms) + " ms)"),
-            options_.max_frame_bytes);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        return;
-      }
-    }
-
-    const std::string op = request.string_or("op", "");
-    if (op == "ping") {
-      JsonObject pong;
-      pong.emplace("pong", Json(true));
-      finish(job.conn, ok_payload(false, Json(std::move(pong)).dump()));
-    } else if (op == "stats") {
-      finish(job.conn, ok_payload(false, stats_json()));
-    } else if (op == "shutdown") {
-      JsonObject result;
-      result.emplace("draining", Json(true));
-      finish(job.conn, ok_payload(false, Json(std::move(result)).dump()));
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      shutdown();
-      return;
-    } else if (op == "rolling_restart") {
-      const std::uint64_t before =
-          journal_replayed_.load(std::memory_order_relaxed);
-      const std::uint64_t restarted = rolling_restart();
-      JsonObject result;
-      result.emplace("restarted", Json(restarted));
-      result.emplace(
-          "replayed",
-          Json(journal_replayed_.load(std::memory_order_relaxed) - before));
-      finish(job.conn, ok_payload(false, Json(std::move(result)).dump()));
-    } else if (op == "warm") {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      metrics().bad_requests.add();
-      job.conn->send_frame(
-          error_payload("bad_request",
-                        "warm is tier-internal (router -> worker only)"),
-          options_.max_frame_bytes);
-    } else if (op == "sleep") {
-      finish(job.conn, forward_any(job.frame));
-    } else if (op == "predict" || op == "simulate" || op == "inject" ||
-               op == "dse" || op == "search") {
-      std::string key;
-      try {
-        key = canonical_key(request);
-      } catch (const std::exception& e) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        metrics().bad_requests.add();
-        job.conn->send_frame(error_payload("bad_request", e.what()),
-                             options_.max_frame_bytes);
-        in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        return;
-      }
-      finish(job.conn, forward_keyed(key, job.frame));
-      metrics().proxy_seconds.observe(
-          static_cast<double>(obs::now_ns() - job.arrival_ns) * 1e-9);
-    } else {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      metrics().bad_requests.add();
-      job.conn->send_frame(
-          error_payload(
-              "bad_request",
-              op.empty() ? std::string("missing \"op\" field")
-                         : "unknown op '" + op +
-                               "' (valid: ping, stats, predict, simulate, "
-                               "inject, dse, search, sleep, "
-                               "rolling_restart, shutdown)"),
-          options_.max_frame_bytes);
-    }
-  } catch (const std::exception& e) {
-    job.conn->send_frame(error_payload("internal", e.what()),
-                         options_.max_frame_bytes);
-  } catch (...) {
-    job.conn->send_frame(error_payload("internal", "unknown error"),
-                         options_.max_frame_bytes);
-  }
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+std::string Router::compute(const std::string& key, const Json&,
+                            const std::string& frame) {
+  return proxy_round_trip(ring_.lookup(key), frame, key);
 }
 
-std::string Router::forward_keyed(const std::string& key,
-                                  const std::string& frame) {
-  // One proxied round trip per distinct in-flight canonical key: followers
-  // share the leader's reply bytes (the worker-side cache makes later
-  // repeats hits anyway; this absorbs the concurrent burst).
-  bool leader = false;
-  const auto payload = single_flight_.run(
-      key,
-      [this, &key, &frame]() -> SingleFlight::Result {
-        return std::make_shared<const std::string>(
-            proxy_round_trip(ring_.lookup(key), frame,
-                             /*journal_ok=*/true, key));
-      },
-      &leader);
-  if (!leader) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    metrics().coalesced.add();
-  }
-  return *payload;
+std::optional<std::string> Router::handle(const std::string& op,
+                                          const Json&,
+                                          const std::string& frame) {
+  if (op == "sleep") return forward_any(frame);
+  if (op == "warm")
+    throw std::invalid_argument(
+        "warm is tier-internal (router -> worker only)");
+  if (op != "rolling_restart") return std::nullopt;
+  const std::uint64_t before = stats().journal_replayed;
+  const std::uint64_t restarted = rolling_restart();
+  JsonObject result;
+  result.emplace("restarted", Json(restarted));
+  result.emplace("replayed", Json(stats().journal_replayed - before));
+  return ok_payload(false, Json(std::move(result)).dump());
 }
 
 std::string Router::forward_any(const std::string& frame) {
@@ -478,15 +227,14 @@ std::string Router::forward_any(const std::string& frame) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t index = (start + i) % n;
     if (!slots_[index]->healthy.load(std::memory_order_acquire)) continue;
-    return proxy_round_trip(index, frame, /*journal_ok=*/false, {});
+    return proxy_round_trip(index, frame, {});
   }
-  shed_degraded_.fetch_add(1, std::memory_order_relaxed);
-  metrics().shed_degraded.add();
+  bump(Counter::shed_degraded);
   return error_payload("overload", "no healthy worker; retry later");
 }
 
 std::string Router::proxy_round_trip(std::size_t index,
-                                     const std::string& frame, bool journal_ok,
+                                     const std::string& frame,
                                      const std::string& key) {
   Slot& slot = *slots_[index];
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -513,30 +261,27 @@ std::string Router::proxy_round_trip(std::size_t index,
             slot.idle.size() < kMaxPooledLinks)
           slot.idle.push_back(std::move(link));
       }
-      routed_.fetch_add(1, std::memory_order_relaxed);
-      metrics().routed.add();
+      bump(Counter::routed);
       if (error_code(reply) == "shutting_down") {
         // The worker is draining under us (rolling restart): shed cleanly;
         // the client retries and lands on the respawned shard.
-        shed_degraded_.fetch_add(1, std::memory_order_relaxed);
-        metrics().shed_degraded.add();
+        bump(Counter::shed_degraded);
         return error_payload("overload", "worker shard restarting; retry");
       }
-      if (journal_ok && !key.empty())
+      // Cacheable replies (keyed) feed the warm journal.
+      if (!key.empty())
         if (const auto bytes = extract_result_bytes(reply))
           journal_.record(key, *bytes);
       return reply;
     } catch (const std::exception&) {
       if (attempt == 0) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        metrics().retries.add();
+        bump(Counter::retries);
         continue;
       }
       mark_degraded(index);
     }
   }
-  shed_degraded_.fetch_add(1, std::memory_order_relaxed);
-  metrics().shed_degraded.add();
+  bump(Counter::shed_degraded);
   return error_payload("overload", "worker shard degraded; retry later");
 }
 
@@ -558,8 +303,8 @@ void Router::supervise() {
           lock,
           std::chrono::duration<double, std::milli>(
               options_.health_interval_ms),
-          [this] { return supervisor_stop_; });
-      if (supervisor_stop_) return;
+          [this] { return stopping_.load(std::memory_order_acquire); });
+      if (stopping_.load(std::memory_order_acquire)) return;
     }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (stopping_.load(std::memory_order_acquire)) return;
@@ -624,14 +369,11 @@ bool Router::bring_up(Slot& slot, std::size_t index) {
     }
     slot.pid.store(pid, std::memory_order_release);
     if (!wait_ready(slot)) return false;
-    respawns_.fetch_add(1, std::memory_order_relaxed);
-    metrics().respawns.add();
+    bump(Counter::respawns);
   } else if (!ping_worker(slot)) {
     return false;  // externally managed and still down
   }
-  const std::size_t replayed = warm_worker(slot, index);
-  journal_replayed_.fetch_add(replayed, std::memory_order_relaxed);
-  metrics().journal_replayed.add(replayed);
+  bump(Counter::journal_replayed, warm_worker(slot, index));
   return true;
 }
 
@@ -728,12 +470,31 @@ std::uint64_t Router::rolling_restart() {
     }
     slot.restarting.store(false, std::memory_order_release);
   }
-  rolling_restarts_.fetch_add(1, std::memory_order_relaxed);
+  bump(Counter::rolling_restarts);
   return restarted;
 }
 
 // ---------------------------------------------------------------------------
-// Teardown
+// Teardown and stats
+
+void Router::quiesce() {
+  // Every admitted request has been answered, so the proxy queue is empty.
+  {
+    std::lock_guard<std::mutex> lock(supervisor_mutex_);
+    stopping_.store(true, std::memory_order_release);
+  }
+  supervisor_cv_.notify_all();
+  supervisor_thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    proxy_stop_ = true;
+  }
+  queue_cv_.notify_all();
+  for (std::thread& proxy : proxy_threads_) proxy.join();
+
+  stop_workers();
+  for (const auto& slot : slots_) slot->drop_pool();
+}
 
 void Router::stop_workers() {
   // SIGTERM everyone first (they drain concurrently), then collect.
@@ -753,67 +514,11 @@ void Router::stop_workers() {
   }
 }
 
-void Router::closer_main() {
-  for (std::thread& reader : reader_threads_) reader.join();
-  // Readers exited: draining_ is set and in_flight_ hit 0, so the queue is
-  // empty and every admitted request has been answered.
-  stopping_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(supervisor_mutex_);
-    supervisor_stop_ = true;
-  }
-  supervisor_cv_.notify_all();
-  supervisor_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    proxy_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& proxy : proxy_threads_) proxy.join();
-
-  stop_workers();
-  for (const auto& slot : slots_) slot->drop_pool();
-
-  for (int* fd : {&unix_listener_fd_, &tcp_listener_fd_}) {
-    if (*fd >= 0) ::close(*fd);
-    *fd = -1;
-  }
-  if (!options_.unix_socket_path.empty())
-    ::unlink(options_.unix_socket_path.c_str());
-
-  {
-    std::lock_guard<std::mutex> lock(stop_mutex_);
-    stopped_.store(true, std::memory_order_release);
-  }
-  stop_cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Stats
-
-std::string Router::stats_json() {
-  const Stats s = stats();
-  JsonObject obj;
+void Router::describe(JsonObject& obj) {
   obj.emplace("role", Json(std::string("router")));
   obj.emplace("workers", Json(static_cast<std::uint64_t>(slots_.size())));
   obj.emplace("readers",
               Json(static_cast<std::uint64_t>(options_.readers)));
-  obj.emplace("accepted_connections", Json(s.accepted_connections));
-  obj.emplace("requests", Json(s.requests));
-  obj.emplace("completed", Json(s.completed));
-  obj.emplace("rejected_overload", Json(s.rejected_overload));
-  obj.emplace("rejected_shutdown", Json(s.rejected_shutdown));
-  obj.emplace("shed_degraded", Json(s.shed_degraded));
-  obj.emplace("bad_requests", Json(s.bad_requests));
-  obj.emplace("coalesced", Json(s.coalesced));
-  obj.emplace("routed", Json(s.routed));
-  obj.emplace("retries", Json(s.retries));
-  obj.emplace("respawns", Json(s.respawns));
-  obj.emplace("rolling_restarts", Json(s.rolling_restarts));
-  obj.emplace("journal_replayed", Json(s.journal_replayed));
-  obj.emplace("read_timeouts", Json(s.read_timeouts));
-  obj.emplace("in_flight", Json(in_flight_.load(std::memory_order_relaxed)));
-  obj.emplace("queue_capacity", Json(options_.queue_capacity));
   JsonObject journal;
   journal.emplace("entries",
                   Json(static_cast<std::uint64_t>(journal_.entries())));
@@ -849,27 +554,6 @@ std::string Router::stats_json() {
     workers.push_back(Json(std::move(w)));
   }
   obj.emplace("worker_stats", Json(std::move(workers)));
-  return Json(std::move(obj)).dump();
-}
-
-Router::Stats Router::stats() const {
-  Stats s;
-  s.accepted_connections =
-      accepted_connections_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-  s.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
-  s.shed_degraded = shed_degraded_.load(std::memory_order_relaxed);
-  s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.routed = routed_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.respawns = respawns_.load(std::memory_order_relaxed);
-  s.rolling_restarts = rolling_restarts_.load(std::memory_order_relaxed);
-  s.journal_replayed = journal_replayed_.load(std::memory_order_relaxed);
-  s.read_timeouts = read_timeouts_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace ftbesst::svc

@@ -1,37 +1,36 @@
 #pragma once
-// Front router for the horizontally scaled serving tier.
+// Front router for the horizontally scaled serving tier: the serving
+// front-end (svc/frontend.hpp) over the ring backend.
 //
 //            clients
 //               |
 //   +-----------v-----------+     unix sockets      +----------------+
-//   |  Router               |---- <sock>.w0 ------->| Worker shard 0 |
-//   |   R reader threads    |---- <sock>.w1 ------->| Worker shard 1 |
-//   |   (shared listeners)  |---- ...        ------>|      ...       |
-//   |   proxy thread pool   |---- <sock>.wN-1 ----->| Worker shard N |
-//   |   supervisor + journal|                       +----------------+
+//   |  Router               |---- <sock>.w0 ------->| Server (shard 0)|
+//   |   R reader threads    |---- <sock>.w1 ------->| Server (shard 1)|
+//   |   (shared listeners)  |---- ...        ------>|      ...        |
+//   |   proxy threads       |---- <sock>.wN-1 ----->| Server (shard N)|
+//   |   supervisor + journal|                       +-----------------+
 //   +-----------------------+
 //
-// The router accepts client connections on a shared set of listening fds
-// polled by R reader threads (multi-reader accept: every reader polls the
-// same non-blocking listeners and keeps the connections it wins). Each
-// complete frame is admitted against one shared capacity bound — the same
-// shed-never-stall overload discipline as the single-process server — and
-// handed to a dedicated proxy thread pool. Cacheable ops (predict,
-// simulate, inject, dse, search) are consistent-hashed by their canonical
-// request key (svc/chash.hpp) to one worker shard and forwarded verbatim
-// over the existing wire codec; the reply bytes come back untouched, so
-// tier responses are byte-identical to a single process's. A router-level
-// SingleFlight on the canonical key coalesces concurrent identical
-// requests into one proxied round trip.
+// The front-end's readers admit frames against one shared capacity bound
+// and hand them to dedicated proxy threads (each blocks on one worker round
+// trip). Cacheable ops are consistent-hashed by their canonical request key
+// (svc/chash.hpp) to one worker — a Server process on its own unix socket,
+// spawned as `ftbesst worker` — and forwarded verbatim over the wire codec;
+// the reply bytes come back untouched, so tier responses are byte-identical
+// to a single process's. The front-end's SingleFlight coalesces concurrent
+// identical requests into one proxied round trip. `sleep` has no shard
+// affinity and goes round-robin to a healthy worker.
 //
 // Supervision: a health thread pings every worker; a dead worker (crash,
 // kill -9) has its hash range marked *degraded* — requests for those keys
 // are shed with a clean {"code":"overload"} (clients retry; the rest of
-// the ring is untouched) — and is respawned via `ftbesst worker`, whose
-// Registry warm-starts from saved model files. Before the new worker
-// rejoins, the router replays its journal of recently cached responses
-// (svc/journal.hpp) into the worker's cache through the tier-internal
-// `warm` op: warm-cache handoff, measured as post-respawn hit rate.
+// the ring is untouched) — and is respawned, its Registry warm-starting
+// from saved model files. Before the new worker rejoins, the router
+// replays its journal of recently cached responses (svc/journal.hpp) into
+// the worker's cache through the tier-internal `warm` op: warm-cache
+// handoff, measured as post-respawn hit rate. Clients cannot send `warm`
+// through the router.
 //
 // The `rolling_restart` wire op (or `ftbesst serve --rolling-restart`)
 // restarts workers one at a time: degrade the shard (new keys shed),
@@ -54,11 +53,9 @@
 #include <thread>
 #include <vector>
 
-#include "svc/cache.hpp"
 #include "svc/chash.hpp"
-#include "svc/conn.hpp"
+#include "svc/frontend.hpp"
 #include "svc/journal.hpp"
-#include "svc/wire.hpp"
 
 namespace ftbesst::svc {
 
@@ -67,7 +64,7 @@ struct WorkerSpec {
   std::string socket_path;
   /// Command line to (re)spawn the worker process; empty = externally
   /// managed (the router health-checks and re-warms it but never spawns —
-  /// in-process Workers in tests use this).
+  /// in-process Servers in tests use this).
   std::vector<std::string> spawn_argv;
   /// Extra "KEY=VALUE" environment entries for spawned workers.
   std::vector<std::string> spawn_env;
@@ -102,24 +99,14 @@ struct RouterOptions {
   std::vector<WorkerSpec> workers;
 };
 
-class Router {
+class Router final : private Backend, public Frontend {
  public:
   explicit Router(RouterOptions options);
   ~Router();
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  /// Bind listeners, start readers/proxies/supervisor. Spawnable workers
-  /// are brought up asynchronously by the supervisor; use wait_healthy()
-  /// to block until the full ring is serving.
-  void start();
-  void wait();
-  void run();
-  /// Async-signal-safe graceful drain (also stops spawned workers).
-  void shutdown();
 
   /// Block until every worker is healthy or the timeout expires; returns
-  /// whether the ring is fully healthy.
+  /// whether the ring is fully healthy. Spawnable workers are brought up
+  /// asynchronously by the supervisor after start().
   bool wait_healthy(double timeout_s);
 
   /// Restart spawned workers one at a time with warm-cache handoff.
@@ -127,59 +114,44 @@ class Router {
   /// the `rolling_restart` wire op or the embedder.
   std::uint64_t rolling_restart();
 
-  [[nodiscard]] int tcp_port() const noexcept { return bound_tcp_port_; }
-  [[nodiscard]] std::size_t worker_count() const noexcept;
+  [[nodiscard]] std::size_t worker_count() const noexcept {
+    return slots_.size();
+  }
   [[nodiscard]] bool worker_healthy(std::size_t index) const;
   /// Pid of the spawned worker process (-1 if externally managed / down).
   [[nodiscard]] pid_t worker_pid(std::size_t index) const;
   /// Ring lookup for a canonical key (exposed for the purity/remap tests).
-  [[nodiscard]] std::size_t worker_for_key(std::string_view canonical) const;
-
-  /// Route SIGTERM/SIGINT to router->shutdown(). Pass nullptr to restore.
-  static void install_signal_handlers(Router* router);
-
-  struct Stats {
-    std::uint64_t accepted_connections = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t rejected_overload = 0;
-    std::uint64_t rejected_shutdown = 0;
-    std::uint64_t shed_degraded = 0;   ///< keys shed to a degraded shard
-    std::uint64_t bad_requests = 0;
-    std::uint64_t coalesced = 0;       ///< single-flight followers
-    std::uint64_t routed = 0;          ///< proxied worker round trips
-    std::uint64_t retries = 0;         ///< transparent proxy retries
-    std::uint64_t respawns = 0;        ///< worker processes (re)spawned
-    std::uint64_t rolling_restarts = 0;
-    std::uint64_t journal_replayed = 0;///< entries replayed into workers
-    std::uint64_t read_timeouts = 0;
-  };
-  [[nodiscard]] Stats stats() const;
+  [[nodiscard]] std::size_t worker_for_key(std::string_view canonical) const {
+    return ring_.lookup(canonical);
+  }
   [[nodiscard]] const WarmJournal& journal() const noexcept {
     return journal_;
   }
 
  private:
   struct Slot;
-  struct ProxyJob {
-    std::shared_ptr<Conn> conn;
-    std::string frame;
-    std::uint64_t arrival_ns = 0;
-  };
 
-  void start_impl(bool& unix_bound);
-  void reader_main(std::size_t index);
+  void launch() override;
+  void submit(std::function<void()> job) override;
+  void quiesce() override;
+  std::optional<std::string> cached(const std::string&) override {
+    return std::nullopt;  // the owning worker's cache answers hits
+  }
+  std::string compute(const std::string& key, const Json& request,
+                      const std::string& frame) override;
+  std::optional<std::string> handle(const std::string& op,
+                                    const Json& request,
+                                    const std::string& frame) override;
+  [[nodiscard]] std::string_view ops() const override {
+    return "sleep, rolling_restart";
+  }
+  void describe(JsonObject& stats) override;
+
   void proxy_main();
   void supervise();
-  void closer_main();
-  void admit(const std::shared_ptr<Conn>& conn, std::string&& frame);
-  void execute(ProxyJob job);
-  [[nodiscard]] std::string forward_keyed(const std::string& key,
-                                          const std::string& frame);
   [[nodiscard]] std::string forward_any(const std::string& frame);
   [[nodiscard]] std::string proxy_round_trip(std::size_t index,
                                              const std::string& frame,
-                                             bool journal_ok,
                                              const std::string& key);
   void mark_degraded(std::size_t index);
   void revive(std::size_t index);
@@ -188,62 +160,27 @@ class Router {
   bool ping_worker(const Slot& slot);
   std::size_t warm_worker(Slot& slot, std::size_t index);
   void stop_workers();
-  [[nodiscard]] std::string stats_json();
-  [[nodiscard]] bool draining() const noexcept {
-    return draining_.load(std::memory_order_acquire);
-  }
 
   RouterOptions options_;
   HashRing ring_;
   WarmJournal journal_;
-  SingleFlight single_flight_;
   std::vector<std::unique_ptr<Slot>> slots_;
-
-  int unix_listener_fd_ = -1;
-  int tcp_listener_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::thread> proxy_threads_;
-  std::thread supervisor_thread_;
-  std::thread closer_thread_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};  ///< teardown reached: no more revives
-  std::atomic<bool> stopped_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
-  std::deque<ProxyJob> queue_;
+  std::deque<std::function<void()>> queue_;
   bool proxy_stop_ = false;
 
+  /// Teardown reached: no more revives. Set under supervisor_mutex_.
+  std::atomic<bool> stopping_{false};
   std::mutex supervisor_mutex_;
   std::condition_variable supervisor_cv_;
-  bool supervisor_stop_ = false;
 
   std::mutex rolling_mutex_;
-
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> round_robin_{0};
 
-  std::atomic<std::uint64_t> accepted_connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_overload_{0};
-  std::atomic<std::uint64_t> rejected_shutdown_{0};
-  std::atomic<std::uint64_t> shed_degraded_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> routed_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> respawns_{0};
-  std::atomic<std::uint64_t> rolling_restarts_{0};
-  std::atomic<std::uint64_t> journal_replayed_{0};
-  std::atomic<std::uint64_t> read_timeouts_{0};
+  std::vector<std::thread> proxy_threads_;
+  std::thread supervisor_thread_;
 };
 
 }  // namespace ftbesst::svc

@@ -1,60 +1,29 @@
 #pragma once
-// The long-running FT-BESST prediction daemon.
+// The long-running FT-BESST prediction daemon: the serving front-end
+// (svc/frontend.hpp) over the local backend.
 //
-// Request flow (see docs/ARCHITECTURE.md "Serving layer"):
+//   admitted request -> TaskPool -> deadline check -> cache lookup
+//     -> [single-flight compute via handle_request] -> reply
 //
-//   accept -> event loop (poll) -> frame decode -> ADMISSION -> TaskPool
-//     -> deadline check -> cache lookup -> [single-flight compute] -> reply
+// One reader thread owns every socket read. Admitted requests become tasks
+// on the shared util::TaskPool — the same pool the engines fan trials onto,
+// so a request that runs a DSE sweep composes with its own nested
+// parallelism instead of oversubscribing the machine. The result cache
+// stores the serialized result payload itself, so the result bytes of a
+// cache hit are byte-identical to the cold computation's.
 //
-// One event-loop thread (a svc::ReadLoop) owns every socket read: it
-// accepts connections on a Unix-domain listener and/or a localhost TCP
-// listener, buffers bytes per connection, and peels off complete
-// length-prefixed frames. Admission is where backpressure lives: at most
-// `queue_capacity` requests may be queued-or-executing at once; a frame
-// arriving beyond that is answered immediately with an explicit overload
-// rejection (shed, never stall) and the connection stays healthy. Admitted
-// requests become tasks on the shared util::TaskPool — the same pool the
-// engines fan trials onto, so a request that runs a DSE sweep composes
-// with its own nested parallelism instead of oversubscribing the machine.
-//
-// Responses are written by the pool task that computed them, serialized
-// per-connection by a write mutex (the event loop only writes rejection
-// replies, using a non-blocking attempt so a stalled client can never
-// wedge the accept path — if the reject reply would block, the connection
-// is dropped instead). An optional per-connection read deadline closes
-// slowloris connections that park a half-written frame on the loop.
-//
-// Lifecycle: shutdown() (from the `shutdown` op, SIGTERM/SIGINT via
-// install_signal_handlers, or the embedding test) closes the listeners,
-// rejects new frames with code "shutting_down", drains in-flight requests,
-// answers them, then run() returns. The signal handler itself only writes
-// one byte to a self-pipe — every non-async-signal-safe action happens on
-// the event loop.
-//
-// Wire envelope (all replies):
-//   {"cached":<bool>,"ok":true,"result":<result-json>}
-//   {"code":"<machine code>","error":"<message>","ok":false}
-// The result bytes of a cache hit are byte-identical to the cold
-// computation's — the cache stores the serialized result payload itself.
-//
-// In the scaled tier (svc/router.hpp) a Server instance is one worker
-// shard: the router consistent-hashes canonical request keys across N of
-// these, and the tier-internal `warm` op bulk-loads journaled
-// {key -> result} pairs into the shard's cache after a respawn.
+// In the scaled tier (svc/router.hpp) each worker process is a Server on
+// its own unix socket (`ftbesst worker`): the router consistent-hashes
+// canonical request keys across N of them, and the tier-internal `warm` op
+// bulk-loads journaled {key -> result} pairs into a respawned worker's
+// cache.
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "svc/cache.hpp"
-#include "svc/conn.hpp"
+#include "svc/frontend.hpp"
 #include "svc/registry.hpp"
-#include "svc/wire.hpp"
 #include "util/task_pool.hpp"
 
 namespace ftbesst::svc {
@@ -78,7 +47,7 @@ struct ServerOptions {
   double default_deadline_ms = 0.0;
   /// Per-connection read deadline in ms: a connection that holds a partial
   /// frame this long is answered {"code":"read_timeout"} and closed, so a
-  /// slowloris client cannot pin loop state forever. 0 = off.
+  /// slowloris client cannot pin reader state forever. 0 = off.
   double read_deadline_ms = 0.0;
   /// Instance name surfaced in the stats op ("worker-3"); empty for the
   /// standalone daemon.
@@ -87,108 +56,33 @@ struct ServerOptions {
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
 };
 
-class Server {
+class Server final : private Backend, public Frontend {
  public:
   Server(std::shared_ptr<const Registry> registry, ServerOptions options);
   ~Server();
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
-
-  /// Bind listeners and start the event loop thread. Throws
-  /// std::system_error if a listener cannot be bound.
-  void start();
-  /// Block until the server has fully drained and stopped.
-  void wait();
-  /// start() + wait() — the CLI entry point.
-  void run();
-  /// Begin graceful drain; idempotent, safe from any thread and from the
-  /// `shutdown` request handler.
-  void shutdown();
-
-  /// Actual TCP port after start() (useful with tcp_port = 0).
-  [[nodiscard]] int tcp_port() const noexcept { return bound_tcp_port_; }
-
-  /// Route SIGTERM/SIGINT to server->shutdown() via a self-pipe. Pass
-  /// nullptr to restore the default disposition. Only one server at a time
-  /// can be the signal target.
-  static void install_signal_handlers(Server* server);
-
-  struct Stats {
-    std::uint64_t accepted_connections = 0;
-    std::uint64_t requests = 0;           ///< admitted
-    std::uint64_t completed = 0;
-    std::uint64_t rejected_overload = 0;
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t rejected_shutdown = 0;
-    std::uint64_t bad_requests = 0;       ///< parse/validation failures
-    std::uint64_t coalesced = 0;          ///< single-flight followers
-    std::uint64_t read_timeouts = 0;      ///< slowloris connections dropped
-    std::uint64_t warmed = 0;             ///< cache entries loaded via `warm`
-    std::uint64_t searches = 0;           ///< cold search-op computations
-    std::uint64_t search_warm_hits = 0;   ///< cells warm-started from cache
-    std::uint64_t search_evaluations = 0; ///< cells searches priced cold
-    CacheStats cache;
-  };
-  [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] const ResultCache& cache() const noexcept { return cache_; }
 
  private:
-  struct Listener {
-    int fd = -1;
-  };
-
-  /// start() body: binds listeners and launches the loop thread. On
-  /// failure start() releases every fd acquired so far and resets
-  /// started_, so the object stays inert (wait()/~Server() return
-  /// immediately) and start() may be retried.
-  void start_impl(bool& unix_bound);
-  void event_loop();
-  void admit(const std::shared_ptr<Conn>& conn, std::string frame);
-  void execute(const std::shared_ptr<Conn>& conn, std::string frame,
-               std::uint64_t arrival_ns);
-  void reject_inline(const std::shared_ptr<Conn>& conn, std::string_view code,
-                     std::string_view message);
-  [[nodiscard]] std::string warm_cache(const Json& request);
-  [[nodiscard]] std::string stats_json() const;
-  [[nodiscard]] bool draining() const noexcept {
-    return draining_.load(std::memory_order_acquire);
+  void submit(std::function<void()> job) override;
+  void quiesce() override;
+  std::optional<std::string> cached(const std::string& key) override;
+  std::string compute(const std::string& key, const Json& request,
+                      const std::string& frame) override;
+  std::optional<std::string> handle(const std::string& op,
+                                    const Json& request,
+                                    const std::string& frame) override;
+  [[nodiscard]] std::string_view ops() const override { return "sleep, warm"; }
+  void describe(JsonObject& stats) override;
+  [[nodiscard]] CacheStats cache_stats() const override {
+    return cache_.stats();
   }
+  [[nodiscard]] std::string warm(const Json& request);
 
   std::shared_ptr<const Registry> registry_;
-  ServerOptions options_;
+  std::string name_;
   ResultCache cache_;
-  SingleFlight single_flight_;
-
-  Listener unix_listener_;
-  Listener tcp_listener_;
-  int bound_tcp_port_ = -1;
-  int wake_pipe_[2] = {-1, -1};  ///< self-pipe: shutdown()/signal -> poll
-
-  std::thread loop_thread_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopped_{false};
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-
-  std::atomic<std::size_t> in_flight_{0};
   util::TaskGroup tasks_;
-
-  // Stats counters (relaxed atomics; exact totals once drained).
-  std::atomic<std::uint64_t> accepted_connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_overload_{0};
-  std::atomic<std::uint64_t> rejected_deadline_{0};
-  std::atomic<std::uint64_t> rejected_shutdown_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> read_timeouts_{0};
-  std::atomic<std::uint64_t> warmed_{0};
-  std::atomic<std::uint64_t> searches_{0};
-  std::atomic<std::uint64_t> search_warm_hits_{0};
-  std::atomic<std::uint64_t> search_evaluations_{0};
 };
 
 }  // namespace ftbesst::svc

@@ -1,6 +1,6 @@
 // In-process router tests: consistent-hash routing, single-flight
 // coalescing, degraded-shard shedding, and journal-driven warm handoff —
-// all against externally managed in-process Workers, so the fast suite
+// all against externally managed in-process worker Servers, so the fast suite
 // exercises the tier without spawning processes (the process-level
 // soak/chaos harness lives in test_tier_slow.cpp).
 
@@ -19,88 +19,9 @@
 #include "svc/client.hpp"
 #include "svc/json.hpp"
 #include "svc/registry.hpp"
-#include "svc/worker.hpp"
 
 namespace ftbesst::svc {
 namespace {
-
-/// Router over N externally managed in-process workers. The router
-/// health-checks and re-warms them but never spawns; tests kill/revive
-/// workers by destroying/recreating the Worker objects.
-struct TestTierInProcess {
-  explicit TestTierInProcess(std::size_t n, RouterOptions opt = {}) {
-    registry = make_test_registry();
-    opt.unix_socket_path = test_socket_path("router");
-    opt.health_interval_ms = 50.0;   // fast revive for tests
-    opt.worker_timeout_s = 30.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      WorkerSpec spec;
-      spec.socket_path = worker_socket(i);
-      opt.workers.push_back(spec);  // spawn_argv empty: externally managed
-      start_worker(i);
-    }
-    router = std::make_unique<Router>(std::move(opt));
-    router->start();
-    EXPECT_TRUE(router->wait_healthy(30.0));
-  }
-
-  ~TestTierInProcess() {
-    if (router) {
-      router->shutdown();
-      router->wait();
-    }
-    stop_all_workers();
-  }
-
-  [[nodiscard]] static std::string worker_socket(std::size_t i) {
-    return test_socket_path(("rw" + std::to_string(i)).c_str());
-  }
-
-  void start_worker(std::size_t i) {
-    WorkerOptions wopt;
-    wopt.socket_path = worker_socket(i);
-    wopt.name = "worker-" + std::to_string(i);
-    auto worker = std::make_unique<Worker>(registry, wopt);
-    worker->start();
-    if (workers.size() <= i) workers.resize(i + 1);
-    workers[i] = std::move(worker);
-  }
-
-  void stop_worker(std::size_t i) {
-    if (workers.size() > i && workers[i]) {
-      workers[i]->shutdown();
-      workers[i]->wait();
-      workers[i].reset();
-    }
-  }
-
-  void stop_all_workers() {
-    for (std::size_t i = 0; i < workers.size(); ++i) stop_worker(i);
-  }
-
-  [[nodiscard]] Client client(double timeout = 30.0) const {
-    return Client::connect_unix(router_path(), timeout);
-  }
-  [[nodiscard]] std::string router_path() const {
-    return test_socket_path("router");
-  }
-
-  /// Wait until the router's view of worker i reaches `healthy`.
-  [[nodiscard]] bool await_health(std::size_t i, bool healthy,
-                                  double timeout_s = 20.0) const {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(timeout_s);
-    while (router->worker_healthy(i) != healthy) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return true;
-  }
-
-  std::shared_ptr<const Registry> registry;
-  std::vector<std::unique_ptr<Worker>> workers;
-  std::unique_ptr<Router> router;
-};
 
 /// A simulate request whose canonical key lands on worker `target` of the
 /// tier's ring (found by scanning seeds).

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -116,48 +117,6 @@ TEST(Server, QueueFullGetsExplicitOverloadRejection) {
   EXPECT_GE(ts.server->stats().rejected_overload, 1u);
 }
 
-TEST(Server, ExpiredDeadlineIsRejectedWithoutComputing) {
-  TestServer ts({}, "deadline");
-  Client client = ts.client();
-  // A deadline of 100ns has always already expired by the time a worker
-  // picks the request up; the reply must be the deadline error, and the
-  // simulate must never run (nothing enters the cache).
-  Json request = simulate_request(5);
-  request.as_object()["deadline_ms"] = Json(0.0001);
-  const ClientResponse reply = client.call(request);
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "deadline") << reply.raw;
-  EXPECT_EQ(ts.server->stats().cache.entries, 0u);
-  EXPECT_GE(ts.server->stats().rejected_deadline, 1u);
-}
-
-TEST(Server, MalformedRequestsGetBadRequestEnvelopes) {
-  TestServer ts({}, "bad");
-  Client client = ts.client();
-
-  ClientResponse reply = client.call_raw("this is not json");
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "bad_request");
-
-  reply = client.call_raw("[1,2,3]");  // valid JSON, not an object
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "bad_request");
-
-  reply = client.call(Json::parse("{\"op\":\"frobnicate\"}"));
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "bad_request");
-  EXPECT_NE(reply.error.find("frobnicate"), std::string::npos);
-  EXPECT_NE(reply.error.find("simulate"), std::string::npos);  // lists ops
-
-  reply = client.call(Json::parse("{\"op\":\"simulate\",\"plan\":\"L9:4\"}"));
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "bad_request");
-
-  // The connection survived all of it.
-  EXPECT_TRUE(client.call(Json::parse("{\"op\":\"ping\"}")).ok);
-  EXPECT_GE(ts.server->stats().bad_requests, 4u);
-}
-
 TEST(Server, StatsOpReportsCounters) {
   TestServer ts({}, "stats");
   Client client = ts.client();
@@ -194,26 +153,6 @@ TEST(Server, ShutdownOpDrainsInFlightWorkThenStops) {
   sleeper.join();
   EXPECT_THROW((void)Client::connect_unix(ts->path, 1.0), std::system_error);
   ts.reset();
-}
-
-TEST(Server, RequestsDuringDrainAreRejectedAsShuttingDown) {
-  ServerOptions options;
-  TestServer ts(options, "draining");
-  Client busy = ts.client();
-  Client probe = ts.client();  // connect BEFORE the listeners close
-
-  std::thread sleeper([&] {
-    (void)busy.call(Json::parse("{\"op\":\"sleep\",\"ms\":600}"));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  ts.server->shutdown();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const ClientResponse reply = probe.call(Json::parse("{\"op\":\"ping\"}"));
-  EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.code, "shutting_down") << reply.raw;
-  sleeper.join();
-  EXPECT_GE(ts.server->stats().rejected_shutdown, 1u);
 }
 
 TEST(Server, SigtermDrainsAndStopsCleanly) {
@@ -279,25 +218,79 @@ TEST(Server, ReplacesAStaleSocketFileFromACrash) {
   server.wait();
 }
 
-TEST(Server, OversizedFramesAreRejected) {
+// ---------------------------------------------------------------------------
+// Front-end contract: the same bodies run against both compositions of the
+// serving front-end, the single-process Server and a Router over one
+// in-process worker Server.
+
+enum class Composition { kServer, kRouter };
+
+// Names each instance in test output and ctest (".../Server").
+void PrintTo(Composition composition, std::ostream* os) {
+  *os << (composition == Composition::kServer ? "Server" : "Router");
+}
+
+/// The front-end under test. `options` carries the front-end settings
+/// (admission, deadlines, frame cap); the Router composition copies them
+/// onto its RouterOptions and runs its worker with defaults.
+struct TestFront {
+  TestFront(Composition composition, ServerOptions options, const char* tag) {
+    if (composition == Composition::kServer) {
+      server = std::make_unique<TestServer>(options, tag);
+      return;
+    }
+    RouterOptions router;
+    router.queue_capacity = options.queue_capacity;
+    router.default_deadline_ms = options.default_deadline_ms;
+    router.read_deadline_ms = options.read_deadline_ms;
+    router.max_frame_bytes = options.max_frame_bytes;
+    tier = std::make_unique<TestTierInProcess>(1, router);
+  }
+
+  [[nodiscard]] Frontend& front() const {
+    if (server) return *server->server;
+    return *tier->router;
+  }
+  [[nodiscard]] Client client(double timeout_seconds = 30.0) const {
+    return server ? server->client(timeout_seconds)
+                  : tier->client(timeout_seconds);
+  }
+  /// Where a computed result lands: the server's cache, or the router's
+  /// one (owning) worker's.
+  [[nodiscard]] const ResultCache& cache() const {
+    return server ? server->server->cache() : tier->workers[0]->cache();
+  }
+
+  std::unique_ptr<TestServer> server;
+  std::unique_ptr<TestTierInProcess> tier;
+};
+
+class FrontendContract : public ::testing::TestWithParam<Composition> {};
+
+INSTANTIATE_TEST_SUITE_P(Compositions, FrontendContract,
+                         ::testing::Values(Composition::kServer,
+                                           Composition::kRouter));
+
+TEST_P(FrontendContract, OversizedFramesAreRejected) {
   ServerOptions options;
   options.max_frame_bytes = 256;
-  TestServer ts(options, "oversize");
+  TestFront ts(GetParam(), options, "oversize");
   Client client = ts.client();
   const ClientResponse reply =
       client.call_raw(std::string(1000, 'x'), /*max_frame_bytes=*/4096);
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(reply.code, "bad_request");
+  EXPECT_GE(ts.front().stats().bad_requests, 1u);
 }
 
-TEST(Server, SlowlorisPartialFrameIsTimedOutNotHeldForever) {
+TEST_P(FrontendContract, SlowlorisPartialFrameIsTimedOutNotHeldForever) {
   // Regression for the single-reader wart: a client that writes a frame
   // header and then stalls used to hold its connection (and its admission
   // slot candidacy) indefinitely. With a read deadline the server answers
   // read_timeout and closes.
   ServerOptions options;
   options.read_deadline_ms = 200.0;
-  TestServer ts(options, "slowloris");
+  TestFront ts(GetParam(), options, "slowloris");
 
   Client slow = ts.client();
   unsigned char header[4];
@@ -319,12 +312,13 @@ TEST(Server, SlowlorisPartialFrameIsTimedOutNotHeldForever) {
   const ClientResponse pong = ok.call(Json::parse("{\"op\":\"ping\"}"));
   EXPECT_TRUE(pong.ok) << pong.raw;
 
-  const auto stats = ts.server->stats();
+  const auto stats = ts.front().stats();
   EXPECT_GE(stats.read_timeouts, 1u);
 }
 
-TEST(Server, PartialFramesAreNotTimedOutWhenDeadlineDisabled) {
-  TestServer ts({}, "noslowdeadline");  // read_deadline_ms = 0 (off)
+TEST_P(FrontendContract, PartialFramesAreNotTimedOutWhenDeadlineDisabled) {
+  // read_deadline_ms = 0 (off)
+  TestFront ts(GetParam(), {}, "noslowdeadline");
   Client slow = ts.client(2.0);
   unsigned char header[4];
   encode_length(64, header);
@@ -340,6 +334,68 @@ TEST(Server, PartialFramesAreNotTimedOutWhenDeadlineDisabled) {
   const auto reply = read_frame(slow.fd(), kMaxFrameBytes);
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(Json::parse(*reply).bool_or("ok", false)) << *reply;
+}
+
+TEST_P(FrontendContract, RequestsDuringDrainAreRejectedAsShuttingDown) {
+  ServerOptions options;
+  TestFront ts(GetParam(), options, "draining");
+  Client busy = ts.client();
+  Client probe = ts.client();  // connect BEFORE the listeners close
+
+  std::thread sleeper([&] {
+    (void)busy.call(Json::parse("{\"op\":\"sleep\",\"ms\":600}"));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ts.front().shutdown();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const ClientResponse reply = probe.call(Json::parse("{\"op\":\"ping\"}"));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "shutting_down") << reply.raw;
+  sleeper.join();
+  EXPECT_GE(ts.front().stats().rejected_shutdown, 1u);
+}
+
+TEST_P(FrontendContract, MalformedRequestsGetBadRequestEnvelopes) {
+  TestFront ts(GetParam(), {}, "bad");
+  Client client = ts.client();
+
+  ClientResponse reply = client.call_raw("this is not json");
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "bad_request");
+
+  reply = client.call_raw("[1,2,3]");  // valid JSON, not an object
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "bad_request");
+
+  reply = client.call(Json::parse("{\"op\":\"frobnicate\"}"));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "bad_request");
+  EXPECT_NE(reply.error.find("frobnicate"), std::string::npos);
+  EXPECT_NE(reply.error.find("simulate"), std::string::npos);  // lists ops
+
+  reply = client.call(Json::parse("{\"op\":\"simulate\",\"plan\":\"L9:4\"}"));
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "bad_request");
+
+  // The connection survived all of it.
+  EXPECT_TRUE(client.call(Json::parse("{\"op\":\"ping\"}")).ok);
+  EXPECT_GE(ts.front().stats().bad_requests, 4u);
+}
+
+TEST_P(FrontendContract, ExpiredDeadlineIsRejectedWithoutComputing) {
+  TestFront ts(GetParam(), {}, "deadline");
+  Client client = ts.client();
+  // A deadline of 100ns has always already expired by the time a worker
+  // picks the request up; the reply must be the deadline error, and the
+  // simulate must never run (nothing enters the cache).
+  Json request = simulate_request(5);
+  request.as_object()["deadline_ms"] = Json(0.0001);
+  const ClientResponse reply = client.call(request);
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.code, "deadline") << reply.raw;
+  EXPECT_EQ(ts.cache().stats().entries, 0u);
+  EXPECT_GE(ts.front().stats().rejected_deadline, 1u);
 }
 
 }  // namespace

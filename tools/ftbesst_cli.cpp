@@ -140,7 +140,6 @@
 #include "svc/registry.hpp"
 #include "svc/router.hpp"
 #include "svc/server.hpp"
-#include "svc/worker.hpp"
 #include "util/args.hpp"
 #include "util/config.hpp"
 #include "verify/corpus.hpp"
@@ -682,9 +681,11 @@ int cmd_worker(const util::ArgParser& args) {
                      "seed", "group-size", "node-size", "queue-capacity",
                      "cache-mb", "cache-ttl", "cache-shards", "deadline-ms",
                      "read-deadline-ms", "obs-out"});
-  svc::WorkerOptions opt;
-  opt.socket_path = args.get_string("socket", "");
-  if (opt.socket_path.empty()) {
+  // A worker is a Server on its own unix socket; the slowloris guard
+  // defaults on, since its only legitimate client is the router.
+  svc::ServerOptions opt;
+  opt.unix_socket_path = args.get_string("socket", "");
+  if (opt.unix_socket_path.empty()) {
     std::cerr << "worker needs --socket PATH\n";
     return 2;
   }
@@ -699,11 +700,11 @@ int cmd_worker(const util::ArgParser& args) {
   opt.cache.shards =
       static_cast<std::size_t>(args.get_int("cache-shards", 8));
 
-  svc::Worker worker(build_registry(args), opt);
+  svc::Server worker(build_registry(args), opt);
   worker.start();
-  svc::Server::install_signal_handlers(&worker.server());
-  std::cerr << "worker " << opt.name << " serving unix:" << opt.socket_path
-            << "\n";
+  svc::Server::install_signal_handlers(&worker);
+  std::cerr << "worker " << opt.name << " serving unix:"
+            << opt.unix_socket_path << "\n";
   worker.wait();
   svc::Server::install_signal_handlers(nullptr);
   return 0;
