@@ -31,12 +31,6 @@
 #     generated scenarios, golden-corpus replay, and the in-process fuzz
 #     campaigns — the fuzz entries additionally under ASan+UBSan.
 #
-#   - a SIMD pass: the model test suite on the Release tree under each
-#     ExprProgram backend (FTBESST_SIMD=off, =unrolled, and =avx2 when the
-#     host has it — the bit-identity property tests must hold on whichever
-#     backend actually dispatches), plus the bench_ext_simd divergence and
-#     speedup gates.
-#
 #   - a DES-scaling pass: the sim and verify test binaries (incremental-
 #     round parallel engine, symmetry folding, fold-vs-unfold bit
 #     identity) under ThreadSanitizer — folding is on by default, so the
@@ -71,7 +65,7 @@
 #     --coverage-only): instrumented build + line-coverage report for
 #     src/ft and src/svc via gcovr or llvm-cov, whichever is installed.
 #
-# Usage: scripts/check.sh [--release-only|--tsan-only|--ubsan-only|--obs-only|--svc-only|--tier-only|--verify-only|--simd-only|--des-only|--inject-only|--search-only|--slow-only|--coverage-only]
+# Usage: scripts/check.sh [--release-only|--tsan-only|--ubsan-only|--obs-only|--svc-only|--tier-only|--verify-only|--des-only|--inject-only|--search-only|--slow-only|--coverage-only]
 #
 # FTBESST_THREADS caps the shared task pool's workers if the machine is
 # shared; ctest parallelism follows nproc.
@@ -86,7 +80,6 @@ run_obs=1
 run_svc=1
 run_tier=1
 run_verify=1
-run_simd=1
 run_des=1
 run_inject=1
 run_search=1
@@ -94,7 +87,7 @@ run_slow=1
 run_coverage=${FTBESST_COVERAGE:-0}
 only() {  # keep exactly one pass
   run_release=0; run_tsan=0; run_ubsan=0; run_obs=0; run_svc=0
-  run_tier=0; run_verify=0; run_simd=0; run_des=0; run_inject=0
+  run_tier=0; run_verify=0; run_des=0; run_inject=0
   run_search=0; run_slow=0; run_coverage=0
 }
 case "${1:-}" in
@@ -105,7 +98,6 @@ case "${1:-}" in
   --svc-only) only; run_svc=1 ;;
   --tier-only) only; run_tier=1 ;;
   --verify-only) only; run_verify=1 ;;
-  --simd-only) only; run_simd=1 ;;
   --des-only) only; run_des=1 ;;
   --inject-only) only; run_inject=1 ;;
   --search-only) only; run_search=1 ;;
@@ -113,7 +105,7 @@ case "${1:-}" in
   --coverage-only) only; run_coverage=1 ;;
   "") ;;
   *)
-    echo "usage: $0 [--release-only|--tsan-only|--ubsan-only|--obs-only|--svc-only|--tier-only|--verify-only|--simd-only|--des-only|--inject-only|--search-only|--slow-only|--coverage-only]" >&2
+    echo "usage: $0 [--release-only|--tsan-only|--ubsan-only|--obs-only|--svc-only|--tier-only|--verify-only|--des-only|--inject-only|--search-only|--slow-only|--coverage-only]" >&2
     exit 2
     ;;
 esac
@@ -282,31 +274,6 @@ if [ "$run_verify" = 1 ]; then
     echo "!! ASan+UBSan unavailable on this toolchain; fuzz ran unsanitized" >&2
   fi
   echo "verify pass: differential + corpus + fuzz gates passed"
-fi
-
-if [ "$run_simd" = 1 ]; then
-  echo "== SIMD pass (model suite per backend + bench gates) =="
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j "$jobs" --target test_model bench_ext_simd
-  # The model suite under each forced backend: the same bit-identity
-  # property tests must pass whichever interpreter actually dispatches.
-  # (The per-backend property tests inside the suite force their own
-  # overrides; this additionally pins the *default* dispatch per run.)
-  for backend in off unrolled avx2; do
-    if [ "$backend" = avx2 ] && \
-       ! grep -q '^flags.*\bavx2\b' /proc/cpuinfo 2>/dev/null; then
-      echo "!! host has no AVX2; FTBESST_SIMD=avx2 suite skipped" >&2
-      continue
-    fi
-    echo "-- model suite with FTBESST_SIMD=$backend"
-    FTBESST_SIMD="$backend" ctest --test-dir build-release \
-      --output-on-failure -LE slow -j "$jobs" -R '^(ExprSimd|ExprProgram|EvalBackendApi|AlignedBuffer|DatasetAligned|PredictBatch|SymRegParallel|Dataset)'
-  done
-  # bench_ext_simd exits non-zero on any bitwise divergence from Expr::eval
-  # or if the DSE-sweep speedup gates (unrolled >= 1.8x, avx2 >= 4x at one
-  # thread) fail.
-  ./build-release/bench/bench_ext_simd > build-release/bench_ext_simd.json
-  echo "simd pass: per-backend suites + divergence/speedup gates passed"
 fi
 
 if [ "$run_des" = 1 ]; then

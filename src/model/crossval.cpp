@@ -46,8 +46,8 @@ CrossValReport cross_validate(const Dataset& data, const FitOptions& options,
     // we let fit_kernel_model keep its internal split of the training part.
     const FittedKernel fitted = fit_kernel_model(train, per_fold);
     // validate_mape scores the held-out fold through predict_batch, which
-    // for symreg kernels runs the active ExprProgram backend; backends are
-    // bit-identical, so fold scores don't depend on FTBESST_SIMD.
+    // for symreg kernels is ExprProgram::eval_dataset — bit-identical to
+    // Expr::eval row by row.
     fold_mapes[fold] = validate_mape(*fitted.model, held);
   });
 

@@ -60,8 +60,7 @@ std::pair<Dataset, Dataset> Dataset::split(double train_fraction,
 
 std::vector<double> Dataset::unique_values(std::size_t dim) const {
   if (dim >= names_.size()) throw std::out_of_range("bad dimension");
-  std::vector<double> vals(cols_[dim].data(),
-                           cols_[dim].data() + cols_[dim].size());
+  std::vector<double> vals = cols_[dim];
   std::sort(vals.begin(), vals.end());
   vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
   return vals;

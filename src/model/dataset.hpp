@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "model/aligned_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace ftbesst::model {
@@ -51,20 +50,11 @@ class Dataset {
   // are the wrong layout for that. The dataset therefore also maintains a
   // column-major copy of the parameters, kept in sync by add_row, so a
   // column is always a contiguous array with one entry per row in row
-  // order. Columns are held in AlignedBuffers (32-byte-aligned, tail
-  // padded with zeros to padded_rows(num_rows())) so the SIMD backends
-  // (model/expr_simd.hpp) can use full-width aligned loads with no tail
-  // masking.
+  // order.
 
   /// All values of parameter `dim`, one per row, in row order.
-  [[nodiscard]] const AlignedBuffer& column(std::size_t dim) const {
+  [[nodiscard]] const std::vector<double>& column(std::size_t dim) const {
     return cols_.at(dim);
-  }
-
-  /// Base pointer of column `dim`'s aligned, zero-padded storage
-  /// (padded_rows(num_rows()) readable doubles).
-  [[nodiscard]] const double* aligned_column(std::size_t dim) const {
-    return cols_.at(dim).data();
   }
 
   /// Mean responses, one per row, in row order (cached; O(1)).
@@ -88,8 +78,8 @@ class Dataset {
  private:
   std::vector<std::string> names_;
   std::vector<Row> rows_;
-  std::vector<AlignedBuffer> cols_;  // cols_[d][r] == rows_[r].params[d]
-  std::vector<double> responses_;    // responses_[r] == row r's mean
+  std::vector<std::vector<double>> cols_;  // cols_[d][r] == rows_[r].params[d]
+  std::vector<double> responses_;          // responses_[r] == row r's mean
 };
 
 }  // namespace ftbesst::model

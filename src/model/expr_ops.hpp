@@ -1,8 +1,8 @@
 #pragma once
 // The protected scalar kernels of the Expr semantics contract (expr.hpp),
 // shared by every evaluator that must agree with Expr::eval bit for bit:
-// the ExprProgram constant folder, the scalar bytecode interpreter, and
-// the scalar lanes of the unrolled/AVX2 batch backends (expr_simd.*).
+// the ExprProgram constant folder, its batch strip interpreter and its
+// single-point evaluator.
 // Expr::eval itself inlines the same operations; any change here must be
 // mirrored there (and will be caught by tests/model/test_expr_program.cpp).
 

@@ -2,22 +2,20 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "model/expr_ops.hpp"
-#include "model/expr_simd.hpp"
+#include "obs/metrics.hpp"
 
 namespace ftbesst::model {
 
 namespace {
 
 // Protected scalar kernels — shared with every other evaluator through
-// model/expr_ops.hpp so the folder, the strip loops, the single-point
-// evaluator, and the SIMD backends' scalar lanes are one definition.
+// model/expr_ops.hpp so the folder, the strip loops and the single-point
+// evaluator are one definition.
 using detail::op_add;
 using detail::op_div;
 using detail::op_log;
@@ -332,15 +330,12 @@ void ExprProgram::eval_dataset(const Dataset& data, std::vector<double>& out,
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  // Runtime backend dispatch (see expr_simd.hpp). The strip interpreter
-  // below is EvalBackend::kScalar — kept verbatim as the reference batch
-  // path every vector backend must match bit for bit.
-  if (const EvalBackend backend = active_backend();
-      backend != EvalBackend::kScalar) {
-    simd::eval_batch(code_, root_, regs_, data, out, scratch, backend);
-    return;
+  if (obs::enabled()) {
+    static const obs::Counter evals = obs::counter("model.evals.scalar");
+    static const obs::Counter rows = obs::counter("model.rows.scalar");
+    evals.add(1);
+    rows.add(n);
   }
-  simd::count_eval(EvalBackend::kScalar, n);
   scratch.regs.resize(static_cast<std::size_t>(regs_) * n);
   double* const base = scratch.regs.data();
   const std::size_t num_params = data.num_params();
@@ -352,8 +347,7 @@ void ExprProgram::eval_dataset(const Dataset& data, std::vector<double>& out,
         return {base + static_cast<std::size_t>(idx) * n, 0.0, false};
       case Src::kCol:
         if (idx < num_params) return {data.column(idx).data(), 0.0, false};
-        if (scratch.zeros.size() < n) scratch.zeros.assign_zero(n);
-        assert(is_simd_aligned(scratch.zeros.data()));
+        if (scratch.zeros.size() < n) scratch.zeros.assign(n, 0.0);
         return {scratch.zeros.data(), 0.0, false};
       case Src::kLit:
       default:
@@ -379,7 +373,7 @@ void ExprProgram::eval_dataset(const Dataset& data, std::vector<double>& out,
         break;
       case Op::kVar: {  // root-leaf only
         const BatchOperand x = resolve(Src::kCol, instr.a, 0.0);
-        std::memcpy(dst, x.p, n * sizeof(double));
+        std::copy_n(x.p, n, dst);  // no memcpy: dst is null when n == 0
         break;
       }
       case Op::kAdd:

@@ -21,19 +21,15 @@
 // by tests/model/test_expr_program.cpp and bench_ext_symreg's divergence
 // check.
 //
-// eval_dataset additionally dispatches to SIMD-batched backends
-// (model/expr_simd.hpp: portable 4-wide unrolled, AVX2, and an opt-in
-// AVX2 fast-math mode) selected at runtime via CPUID and the FTBESST_SIMD
-// environment variable. The default backends honour the same bit-identity
-// contract — see ARCHITECTURE.md, "SIMD execution", for the backend
-// selection rules, the alignment/padding invariants, and the fast-math
-// carve-out's ULP bound.
+// eval_dataset's strip interpreter is the only batch path: symbolic
+// regression fits each kernel model once, before any simulation runs, so
+// no end-to-end workload is bound by it (see ARCHITECTURE.md, "Batch
+// evaluation").
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "model/aligned_buffer.hpp"
 #include "model/dataset.hpp"
 #include "model/expr.hpp"
 
@@ -75,16 +71,12 @@ struct ProgInstr {
 };
 
 /// Reusable evaluation workspace. Passing one in across calls amortizes
-/// the allocations over a whole population/generation. The scalar strip
-/// interpreter uses `regs` (registers x rows); the blocked SIMD backends
-/// use `block_regs` (registers x simd_detail::kBlockRows, 32-byte-aligned
-/// strips) and `cols` (per-batch resolved column base pointers). `zeros`
-/// is the aligned, zero-padded read target for out-of-range variables.
+/// the allocations over a whole population/generation. The strip
+/// interpreter uses `regs` (registers x rows); `zeros` is the read target
+/// for out-of-range variables.
 struct EvalScratch {
   std::vector<double> regs;
-  AlignedBuffer zeros;
-  AlignedBuffer block_regs;
-  std::vector<const double*> cols;
+  std::vector<double> zeros;
 };
 
 class ExprProgram {

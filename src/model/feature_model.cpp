@@ -127,8 +127,8 @@ double FeatureModel::predict(std::span<const double> params) const {
 }
 
 // Row-wise by design: the feature library is a set of opaque per-row
-// closures, not an ExprProgram, so there is no instruction stream for the
-// SIMD backends to interpret. The win here is reusing `phi` across rows.
+// closures, not an ExprProgram, so there is no instruction stream to
+// evaluate column-wise. The win here is reusing `phi` across rows.
 void FeatureModel::predict_batch(const Dataset& data,
                                  std::vector<double>& out) const {
   out.resize(data.num_rows());

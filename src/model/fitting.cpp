@@ -24,7 +24,7 @@ std::string to_string(ModelMethod m) {
 
 double validate_mape(const PerfModel& model, const Dataset& data) {
   // predict_batch routes ExprModel through the compiled column-wise path
-  // (and from there to the active SIMD backend, bit-identical by contract);
+  // (bit-identical to per-row predict by contract);
   // FeatureModel batches its per-row feature evaluation; other models fall
   // back to the per-row loop.
   std::vector<double> predicted;

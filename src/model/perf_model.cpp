@@ -6,7 +6,7 @@ namespace ftbesst::model {
 
 // Default batch path: one virtual predict() per row. Models with a
 // column-wise representation override this — ExprModel evaluates through
-// the active ExprProgram SIMD backend (model/expr_simd.*).
+// ExprProgram::eval_dataset.
 void PerfModel::predict_batch(const Dataset& data,
                               std::vector<double>& out) const {
   out.resize(data.num_rows());

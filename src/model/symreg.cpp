@@ -22,17 +22,6 @@ struct ScaledFit {
   double mape = std::numeric_limits<double>::infinity();
 };
 
-/// Evaluate a compiled candidate on every row of `data` into `out`,
-/// reusing the caller's buffers (the seed allocated a fresh vector per
-/// individual per generation — pure churn in the hottest loop).
-/// eval_dataset dispatches to the active ExprProgram backend
-/// (model/expr_simd.*); all backends are bit-identical by contract, so
-/// fitness — and therefore selection — is backend-invariant.
-void eval_rows(const ExprProgram& prog, const Dataset& data,
-               std::vector<double>& out, EvalScratch& scratch) {
-  prog.eval_dataset(data, out, scratch);
-}
-
 /// Responses preprocessed once per fit. The MAPE denominator becomes a
 /// per-row multiply by a cached 1/|y| instead of a divide inside the
 /// per-candidate loop, and the nonzero-response count is known up front.
@@ -122,7 +111,7 @@ double mape_with_scaling(const ExprProgram& prog, const Dataset& data,
                          double scale, double offset, std::vector<double>& f,
                          EvalScratch& scratch) {
   if (data.empty()) return std::numeric_limits<double>::infinity();
-  eval_rows(prog, data, f, scratch);
+  prog.eval_dataset(data, f, scratch);
   const std::vector<double>& ys = data.responses();
   double acc = 0.0;
   std::size_t used = 0;
@@ -153,7 +142,7 @@ double ExprModel::predict(std::span<const double> params) const {
 
 void ExprModel::predict_batch(const Dataset& data,
                               std::vector<double>& out) const {
-  // Column-wise evaluation through the active SIMD backend; the affine
+  // Column-wise evaluation through the compiled program; the affine
   // rescale + clamp stays scalar (it is O(rows) against an O(rows * program)
   // evaluation and auto-vectorizes anyway).
   EvalScratch scratch;
@@ -255,7 +244,7 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
           thread_local ExprProgram prog;
           Pending& work = pending[p];
           ExprProgram::compile_into(*work.expr, prog);
-          eval_rows(prog, train, f, scratch);
+          prog.eval_dataset(train, f, scratch);
           work.result.fit = linear_scale_fit(f, ry);
           work.result.fitness =
               work.result.fit.mape +

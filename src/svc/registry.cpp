@@ -15,7 +15,7 @@
 #include "core/montecarlo.hpp"
 #include "ft/checkpoint_cost.hpp"
 #include "inject/campaign.hpp"
-#include "model/expr_simd.hpp"
+#include "model/dataset.hpp"
 #include "model/serialize.hpp"
 #include "net/topology.hpp"
 #include "search/search.hpp"
@@ -302,8 +302,8 @@ Json op_predict(const Registry& registry, const Json& request) {
   const model::PerfModel& model = registry.arch().kernel(kernel);
 
   // Batch form: "points": [[...], ...] prices the whole sweep through the
-  // model's compiled batch path (the SIMD-backed eval_dataset for
-  // ExprModel/FeatureModel) — bit-identical to per-point predict, one
+  // model's batch path (ExprProgram::eval_dataset for ExprModel, a reused
+  // feature row for FeatureModel) — bit-identical to per-point predict, one
   // column-major pass instead of len(points) tree walks.
   if (const Json* points_json = request.find("points")) {
     if (request.find("params"))
@@ -332,7 +332,7 @@ Json op_predict(const Registry& registry, const Json& request) {
     JsonObject out;
     out["values"] = Json(std::move(out_values));
     out["model"] = Json(model.describe());
-    out["backend"] = Json(std::string(model::to_string(model::active_backend())));
+    out["backend"] = Json(std::string("scalar"));  // wire compatibility
     return Json(std::move(out));
   }
 

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "model/expr_simd.hpp"
 
 namespace ftbesst::svc {
 
@@ -121,12 +120,10 @@ void Server::describe(JsonObject& stats) {
   cache.emplace("entries", Json(c.entries));
   cache.emplace("bytes", Json(c.bytes));
   stats.emplace("name", Json(name_));
-  // Which ExprProgram backend prices predict/dse batches in this process
-  // (FTBESST_SIMD resolution), so clients can attribute throughput and
-  // verify parity runs against the right configuration.
-  stats.emplace("eval_backend",
-                Json(std::string(model::to_string(model::active_backend()))));
-  stats.emplace("avx2_supported", Json(model::avx2_supported()));
+  // Wire-compatible constants: ExprProgram has one batch evaluator, the
+  // scalar strip interpreter, on every host.
+  stats.emplace("eval_backend", Json(std::string("scalar")));
+  stats.emplace("avx2_supported", Json(false));
   stats.emplace("cache", Json(std::move(cache)));
 }
 

@@ -13,11 +13,6 @@
 #include "core/montecarlo.hpp"
 #include "ft/young_daly.hpp"
 #include "inject/campaign.hpp"
-#include "model/dataset.hpp"
-#include "model/expr.hpp"
-#include "model/expr_program.hpp"
-#include "model/expr_simd.hpp"
-#include "util/rng.hpp"
 #include "verify/format.hpp"
 #include "verify/reference.hpp"
 
@@ -386,83 +381,6 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
                 det);
 }
 
-// --- leg 5: ExprProgram backends, bit-identical across dispatch ---
-// The calibration/prediction hot path can execute on any of the SIMD
-// batch backends (model/expr_simd.*), all of which promise bit identity
-// with the per-row tree-walk. Price a scenario-seeded expression stream
-// over an adversarial dataset under every available backend and require
-// memcmp-level agreement — a divergence means a backend broke the
-// protected-operator or clamp semantics and every fitness/prediction
-// number downstream is suspect.
-void check_eval_backends(const Scenario& s, DiffReport& report) {
-  // Deterministic per scenario (shrinking changes the stream, which is
-  // fine: the predicate re-checks whatever the candidate generates).
-  const std::uint64_t seed =
-      0x9e3779b97f4a7c15ULL ^
-      (static_cast<std::uint64_t>(s.ranks) << 32) ^
-      (static_cast<std::uint64_t>(s.timesteps) << 12) ^
-      s.ckpt_bytes_per_rank ^ static_cast<std::uint64_t>(s.plan.size());
-  util::Rng rng(seed);
-
-  const std::size_t num_params = 2 + rng.uniform_int(2);
-  const std::size_t rows = 1 + rng.uniform_int(150);
-  std::vector<std::string> names;
-  for (std::size_t d = 0; d < num_params; ++d)
-    names.push_back("p" + std::to_string(d));
-  model::Dataset data(std::move(names));
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::vector<double> params(num_params);
-    for (auto& p : params) {
-      const double roll = rng.uniform();
-      if (roll < 0.12)
-        p = 0.0;
-      else if (roll < 0.24)
-        p = rng.uniform(-2e-9, 2e-9);  // straddles the division guard
-      else if (roll < 0.32)
-        p = std::pow(10.0, rng.uniform(150.0, 200.0));  // overflow fodder
-      else
-        p = rng.uniform(-1e4, 1e4);
-    }
-    data.add_row(std::move(params), {1.0});
-  }
-
-  std::vector<model::EvalBackend> backends = {model::EvalBackend::kUnrolled};
-  if (model::avx2_supported()) backends.push_back(model::EvalBackend::kAvx2);
-
-  std::vector<double> reference, candidate;
-  model::EvalScratch scratch;
-  for (int trial = 0; trial < 4; ++trial) {
-    const model::Expr expr = model::Expr::random(
-        rng, num_params, 2 + static_cast<int>(rng.uniform_int(5)));
-    if (expr.empty()) continue;
-    const model::ExprProgram prog = model::ExprProgram::compile(expr);
-    {
-      model::BackendOverrideGuard guard(model::EvalBackend::kScalar);
-      prog.eval_dataset(data, reference, scratch);
-    }
-    ++report.backend_checks;
-    for (const model::EvalBackend backend : backends) {
-      model::BackendOverrideGuard guard(backend);
-      prog.eval_dataset(data, candidate, scratch);
-      if (bits_equal(reference, candidate)) continue;
-      std::size_t row = 0;
-      while (row < reference.size() &&
-             bits_equal(reference[row], candidate[row]))
-        ++row;
-      add_failure(report, "eval_backend",
-                  std::string(model::to_string(backend)) +
-                      " diverges from scalar at row " + std::to_string(row) +
-                      " (expr seed " + std::to_string(seed) + " trial " +
-                      std::to_string(trial) + "): " +
-                      pair_detail("value", reference[row], "scalar",
-                                  candidate[row],
-                                  model::to_string(backend)),
-                  s);
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 void DiffReport::merge(const DiffReport& other) {
@@ -474,7 +392,6 @@ void DiffReport::merge(const DiffReport& other) {
   young_daly_checks += other.young_daly_checks;
   inject_checks += other.inject_checks;
   inject_young_daly_checks += other.inject_young_daly_checks;
-  backend_checks += other.backend_checks;
   search_checks += other.search_checks;
   failures.insert(failures.end(), other.failures.begin(),
                   other.failures.end());
@@ -490,7 +407,6 @@ std::string DiffReport::summary() const {
   out += std::to_string(young_daly_checks) + " young-daly, ";
   out += std::to_string(inject_checks) + " inject (" +
          std::to_string(inject_young_daly_checks) + " young-daly), ";
-  out += std::to_string(backend_checks) + " eval-backend, ";
   out += std::to_string(search_checks) + " search checks, ";
   out += std::to_string(failures.size()) + " failure(s)\n";
   for (const DiffFailure& f : failures) {
@@ -513,7 +429,6 @@ DiffReport check_scenario(const Scenario& s, const DiffTolerances& tol,
     check_threads(s, overrides, report);
     check_young_daly(s, tol, overrides, report);
     check_inject(s, tol, overrides, report);
-    check_eval_backends(s, report);
   } catch (const std::exception& e) {
     add_failure(report, "exception", e.what(), s);
   }

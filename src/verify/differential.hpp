@@ -33,9 +33,6 @@
 //    rollback keeps fold groups symmetric); injection campaign threads
 //    1 vs 4 bit-identical; and, on Young/Daly-eligible scenarios, the
 //    campaign mean makespan within the same x1.6 band.
-//  * ExprProgram eval backends (scalar strip vs the SIMD batch backends,
-//    model/expr_simd.*): bit-identical over scenario-seeded expressions on
-//    an adversarial dataset — the dispatch must never change a number.
 
 #include <cstdint>
 #include <functional>
@@ -62,8 +59,7 @@ struct DiffFailure {
   std::string check;   ///< "analytic_twin" | "des_vs_bsp" | "fold_vs_unfold"
                        ///< | "thread_bits" | "young_daly" | "inject_fold"
                        ///< | "inject_threads" | "inject_young_daly"
-                       ///< | "eval_backend" | "search_vs_exhaustive"
-                       ///< | "exception"
+                       ///< | "search_vs_exhaustive" | "exception"
   std::string detail;  ///< human-readable disagreement description
   std::uint64_t generator_seed = 0;  ///< 0 when not generator-produced
   std::uint64_t scenario_index = 0;
@@ -79,7 +75,6 @@ struct DiffReport {
   int young_daly_checks = 0;
   int inject_checks = 0;
   int inject_young_daly_checks = 0;
-  int backend_checks = 0;
   int search_checks = 0;
   std::vector<DiffFailure> failures;
 

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
-#include "model/expr_simd.hpp"
 #include "model/feature_model.hpp"
 #include "model/symreg.hpp"
 #include "util/rng.hpp"
@@ -133,11 +136,8 @@ TEST(ExprProgram, OutOfRangeVariableReadsZero) {
 }
 
 TEST(ExprProgram, ScalarScratchZerosAreAlignedAndPadded) {
-  // The scalar strip path serves out-of-range variables from
-  // EvalScratch::zeros, which must honour the same alignment/padding
-  // invariant as dataset columns (the vector backends assert on it and
-  // the strip loops are written against it).
-  BackendOverrideGuard guard(EvalBackend::kScalar);
+  // The strip path serves out-of-range variables from EvalScratch::zeros,
+  // which must cover every row and hold only zeros.
   const Expr expr = Expr::binary(Op::kAdd, Expr::variable(7),
                                  Expr::variable(0));
   Dataset data({"a"});
@@ -147,9 +147,7 @@ TEST(ExprProgram, ScalarScratchZerosAreAlignedAndPadded) {
   EvalScratch scratch;
   prog.eval_dataset(data, out, scratch);
   ASSERT_GE(scratch.zeros.size(), data.num_rows());
-  EXPECT_TRUE(is_simd_aligned(scratch.zeros.data()));
-  for (std::size_t i = 0; i < padded_rows(scratch.zeros.size()); ++i)
-    EXPECT_EQ(scratch.zeros.data()[i], 0.0);
+  for (const double z : scratch.zeros) EXPECT_EQ(z, 0.0);
   for (std::size_t r = 0; r < data.num_rows(); ++r)
     EXPECT_TRUE(bits_equal(out[r], double(r)));
 }
@@ -218,6 +216,181 @@ TEST(ExprProgram, EmptyExpressionEvaluatesToZeros) {
   EXPECT_EQ(out[0], 0.0);
   EXPECT_EQ(out[1], 0.0);
   EXPECT_EQ(prog.eval({}), 0.0);
+}
+
+// -- Adversarial-input properties of the column-wise batch path ----------
+// Every opcode x operand source x Post fusion, on inputs that stress the
+// protected operators (denormals, +/-inf, NaN payloads, denominators
+// straddling the 1e-9 guard) and at edge row counts. The ExprSimd suite
+// name covers the strip loops the compiler vectorizes.
+
+/// Adversarial parameter values: protected-operator edge cases first, then
+/// ordinary magnitudes. NaNs carry distinct payloads so bit comparison
+/// catches any canonicalized or reordered NaN propagation.
+std::vector<double> adversarial_values() {
+  return {
+      0.0,
+      -0.0,
+      5e-324,                                        // smallest denormal
+      -4.9e-324,
+      2.2250738585072014e-308,                       // DBL_MIN
+      1e-9,                                          // exactly at the guard
+      std::nextafter(1e-9, 0.0),                     // just under
+      std::nextafter(1e-9, 1.0),                     // just over
+      -1e-9,
+      9.9e-10,
+      -9.9e-10,
+      2e-9,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8dead00000000ULL}),  // payload
+      std::bit_cast<double>(std::uint64_t{0xfff8000000c0ffeeULL}),  // payload
+      1e200,                                         // overflow fodder
+      -1e200,
+      1e-4,
+      -3.75,
+      42.0,
+  };
+}
+
+/// num_params-column dataset cycling through the adversarial values with
+/// per-column offsets, so every column hits every edge value at some row.
+Dataset adversarial_dataset(std::size_t num_params, std::size_t rows) {
+  const std::vector<double> vals = adversarial_values();
+  std::vector<std::string> names;
+  for (std::size_t d = 0; d < num_params; ++d)
+    names.push_back("x" + std::to_string(d));
+  Dataset data(std::move(names));
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double> params(num_params);
+    for (std::size_t d = 0; d < num_params; ++d)
+      params[d] = vals[(r + d * 7) % vals.size()];
+    data.add_row(std::move(params), {1.0});
+  }
+  return data;
+}
+
+TEST(ExprSimd, OpcodeBySourceBySpostMatrixIsBitIdentical) {
+  // Operand kinds as the compiler lowers them: kCol (a bare variable),
+  // kLit (a constant), kReg (a non-foldable subexpression's register).
+  const Dataset data = adversarial_dataset(3, 45);
+  const auto operand = [](int kind, std::size_t var) -> Expr {
+    switch (kind) {
+      case 0: return Expr::variable(var);                    // Src::kCol
+      case 1: return Expr::constant(1.5 + double(var));      // Src::kLit
+      default:                                               // Src::kReg
+        return Expr::binary(Op::kMul, Expr::variable(var),
+                            Expr::constant(0.625));
+    }
+  };
+  const char* kind_name[] = {"col", "lit", "reg"};
+  for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv}) {
+    for (int ka = 0; ka < 3; ++ka) {
+      for (int kb = 0; kb < 3; ++kb) {
+        if (ka == 1 && kb == 1) continue;  // lit-lit folds to a constant
+        const Expr base = Expr::binary(op, operand(ka, 0), operand(kb, 1));
+        const std::string ctx = std::string("op=") +
+                                std::to_string(static_cast<int>(op)) + " a=" +
+                                kind_name[ka] + " b=" + kind_name[kb];
+        expect_bitwise_match(base, data, ctx + " post=none");
+        expect_bitwise_match(Expr::unary(Op::kLog, base.clone()), data,
+                             ctx + " post=log");
+        expect_bitwise_match(Expr::unary(Op::kSqrt, base.clone()), data,
+                             ctx + " post=sqrt");
+      }
+    }
+  }
+  // Unary opcodes over column and register operands, plus stacked unaries
+  // (whichever fusion the compiler picks must stay bit-identical).
+  for (const Op op : {Op::kLog, Op::kSqrt}) {
+    for (int ka : {0, 2}) {
+      const Expr base = Expr::unary(op, operand(ka, 2));
+      expect_bitwise_match(base, data,
+                           std::string("unary a=") + kind_name[ka]);
+      expect_bitwise_match(Expr::unary(Op::kSqrt, base.clone()), data,
+                           "stacked unary sqrt");
+      expect_bitwise_match(Expr::unary(Op::kLog, base.clone()), data,
+                           "stacked unary log");
+    }
+  }
+}
+
+TEST(ExprSimd, DivisionGuardStraddleAllBackends) {
+  const Expr expr =
+      Expr::binary(Op::kDiv, Expr::variable(0), Expr::variable(1));
+  Dataset data({"num", "den"});
+  for (double den :
+       {0.0, -0.0, 1e-9, -1e-9, std::nextafter(1e-9, 0.0),
+        std::nextafter(1e-9, 1.0), 9.9e-10, -9.9e-10, 2e-9, 1.0,
+        std::numeric_limits<double>::quiet_NaN(),  // NaN den is NOT guarded
+        std::numeric_limits<double>::infinity()})
+    data.add_row({3.5, den}, {1.0});
+  data.add_row({std::numeric_limits<double>::quiet_NaN(), 0.0}, {1.0});
+  expect_bitwise_match(expr, data, "division guard straddle");
+}
+
+TEST(ExprSimd, OutOfRangeVariableReadsZeroAllBackends) {
+  // var 9 exceeds the dataset's columns and reads the scratch zeros.
+  const Expr expr = Expr::binary(
+      Op::kDiv, Expr::binary(Op::kAdd, Expr::variable(9), Expr::variable(0)),
+      Expr::variable(9));
+  const Dataset data = adversarial_dataset(1, 21);
+  expect_bitwise_match(expr, data, "out-of-range variable");
+}
+
+TEST(ExprSimd, EdgeRowCountsAllBackends) {
+  // Small, odd and multi-hundred row counts; 0 rows must produce an empty
+  // output.
+  util::Rng rng(987);
+  for (const std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                 std::size_t{4}, std::size_t{5}, std::size_t{8},
+                                 std::size_t{63}, std::size_t{64},
+                                 std::size_t{65}, std::size_t{1000}}) {
+    const Dataset data = adversarial_dataset(2, rows);
+    for (int trial = 0; trial < 3; ++trial) {
+      const Expr expr = Expr::random(rng, 2, 4);
+      if (expr.empty()) continue;
+      expect_bitwise_match(
+          expr, data,
+          "rows=" + std::to_string(rows) + " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(ExprSimd, RandomExpressionsPropertySweep) {
+  util::Rng rng(20260808);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t num_params = 1 + rng.uniform_int(4);
+    const Dataset data =
+        adversarial_dataset(num_params, 11 + rng.uniform_int(70));
+    const Expr expr =
+        Expr::random(rng, num_params, 2 + static_cast<int>(rng.uniform_int(5)));
+    if (expr.empty()) continue;
+    expect_bitwise_match(expr, data, "sweep trial " + std::to_string(trial));
+  }
+}
+
+TEST(ExprSimd, ScratchReusesAcrossShapesAndBackends) {
+  // One EvalScratch reused across programs of different register counts
+  // and datasets of different widths/rows: stale strip contents or a
+  // missed re-zero would break bit identity.
+  util::Rng rng(555);
+  EvalScratch scratch;
+  std::vector<double> out;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t num_params = 1 + rng.uniform_int(3);
+    const Dataset data = adversarial_dataset(num_params, 1 + rng.uniform_int(90));
+    const Expr expr =
+        Expr::random(rng, num_params, 1 + static_cast<int>(rng.uniform_int(6)));
+    if (expr.empty()) continue;
+    const ExprProgram prog = ExprProgram::compile(expr);
+    prog.eval_dataset(data, out, scratch);
+    ASSERT_EQ(out.size(), data.num_rows());
+    for (std::size_t r = 0; r < data.num_rows(); ++r)
+      ASSERT_TRUE(bits_equal(expr.eval(data.row(r).params), out[r]))
+          << "trial " << trial << " row " << r;
+  }
 }
 
 TEST(Dataset, ColumnsMirrorRowsAndResponsesAreCached) {

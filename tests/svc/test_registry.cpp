@@ -16,7 +16,6 @@
 #include "apps/stencil3d.hpp"
 #include "core/arch.hpp"
 #include "ft/checkpoint_cost.hpp"
-#include "model/expr_simd.hpp"
 #include "model/perf_model.hpp"
 #include "model/symreg.hpp"
 #include "net/topology.hpp"
@@ -80,8 +79,8 @@ TEST(Registry, PredictRejectsUnknownKernelsAndMissingFields) {
 }
 
 TEST(Registry, PredictBatchPointsMatchPerPointPredict) {
-  // The "points" batch form routes through PerfModel::predict_batch (the
-  // SIMD-backed eval_dataset for expression models) and must agree
+  // The "points" batch form routes through PerfModel::predict_batch
+  // (ExprProgram::eval_dataset for expression models) and must agree
   // bit-for-bit with one predict call per point.
   auto topo = std::make_shared<net::TwoStageFatTree>(4, 4, 2);
   auto arch =
@@ -111,8 +110,7 @@ TEST(Registry, PredictBatchPointsMatchPerPointPredict) {
     EXPECT_EQ(values[i].as_number(), single.find("value")->as_number())
         << "point " << points[i];
   }
-  EXPECT_EQ(batch.find("backend")->as_string(),
-            model::to_string(model::active_backend()));
+  EXPECT_EQ(batch.find("backend")->as_string(), "scalar");
 }
 
 TEST(Registry, PredictBatchRejectsMalformedPoints) {

@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "model/expr_simd.hpp"
 #include "server_test_util.hpp"
 #include "svc/client.hpp"
 #include "svc/json.hpp"
@@ -127,10 +126,10 @@ TEST(Server, StatsOpReportsCounters) {
   EXPECT_GE(reply.result.find("completed")->as_number(), 2.0);
   EXPECT_EQ(reply.result.find("cache")->find("hits")->as_number(), 1.0);
   EXPECT_EQ(reply.result.find("queue_capacity")->as_number(), 64.0);
-  // Backend dispatch info for attributing batch-predict throughput.
-  EXPECT_EQ(reply.result.find("eval_backend")->as_string(),
-            model::to_string(model::active_backend()));
+  // Constant backend keys, kept for wire compatibility.
+  EXPECT_EQ(reply.result.find("eval_backend")->as_string(), "scalar");
   ASSERT_NE(reply.result.find("avx2_supported"), nullptr);
+  EXPECT_FALSE(reply.result.find("avx2_supported")->as_bool());
 }
 
 TEST(Server, ShutdownOpDrainsInFlightWorkThenStops) {
