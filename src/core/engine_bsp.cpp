@@ -10,37 +10,58 @@
 
 namespace ftbesst::core {
 
-namespace {
-
-using inject::CheckpointRecord;
-
-double instr_duration(const Instr& instr, const AppBEO& app,
-                      const ArchBEO& arch, bool monte_carlo,
-                      util::Rng& rng) {
-  switch (instr.kind) {
-    case InstrKind::kCompute:
-    case InstrKind::kCheckpoint: {
-      const model::PerfModel& m = arch.kernel(instr.kernel);
-      return monte_carlo ? m.sample(instr.params, rng)
-                         : m.predict(instr.params);
+PricedProgram::PricedProgram(const AppBEO& app, const ArchBEO& arch)
+    : app_(&app), arch_(&arch) {
+  const auto& program = app.program();
+  durations_.resize(program.size());
+  restarts_.resize(program.size());
+  for (std::size_t pc = 0; pc < program.size(); ++pc) {
+    const Instr& instr = program[pc];
+    Slot& slot = durations_[pc];
+    switch (instr.kind) {
+      case InstrKind::kCompute:
+      case InstrKind::kCheckpoint: {
+        const std::string& name = instr.kernel;
+        if (!arch.has_kernel(name)) {
+          if (unbound_.empty()) unbound_ = name;
+          continue;
+        }
+        slot.model = &arch.kernel(name);
+        slot.price = slot.model->price(instr.params);
+        break;
+      }
+      case InstrKind::kNeighborExchange:
+        slot.price.median = arch.comm().neighbor_exchange_time(
+            app.ranks(), instr.degree, instr.bytes);
+        break;
+      case InstrKind::kAllReduce:
+        slot.price.median =
+            arch.comm().allreduce_time(app.ranks(), instr.bytes);
+        break;
+      case InstrKind::kBarrier:
+        slot.price.median = arch.comm().barrier_time(app.ranks());
+        break;
+      case InstrKind::kTimestepEnd:
+        break;
     }
-    case InstrKind::kNeighborExchange:
-      return arch.comm().neighbor_exchange_time(app.ranks(), instr.degree,
-                                                instr.bytes);
-    case InstrKind::kAllReduce:
-      return arch.comm().allreduce_time(app.ranks(), instr.bytes);
-    case InstrKind::kBarrier:
-      return arch.comm().barrier_time(app.ranks());
-    case InstrKind::kTimestepEnd:
-      return 0.0;
+    if (instr.kind != InstrKind::kCheckpoint) continue;
+    if (const model::PerfModel* rm = arch.restart(instr.level)) {
+      restarts_[pc].model = rm;
+      restarts_[pc].price = rm->price(instr.params);
+    }
   }
-  return 0.0;
 }
 
-}  // namespace
+void PricedProgram::require_bound() const {
+  if (!unbound_.empty()) (void)arch_->kernel(unbound_);  // throws
+}
 
 RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
                   const EngineOptions& options) {
+  return run_bsp(PricedProgram(app, arch), options);
+}
+
+RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   // Counter only, no span: run_bsp is the per-trial engine (thousands of
   // μs-scale calls per ensemble), so a span here would dominate the obs
   // enabled cost and flood the trace rings; the ensemble/DSE spans already
@@ -49,6 +70,8 @@ RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
     static const obs::Counter runs = obs::counter("bsp.runs");
     runs.add();
   }
+  const AppBEO& app = priced.app();
+  const ArchBEO& arch = priced.arch();
   if (app.ranks() > arch.max_ranks())
     throw std::invalid_argument(
         "application ranks exceed architecture capacity");
@@ -59,6 +82,7 @@ RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
   for (std::size_t i = 1; i < options.fault_trace.size(); ++i)
     if (options.fault_trace[i].time < options.fault_trace[i - 1].time)
       throw std::invalid_argument("fault trace must be time-ordered");
+  priced.require_bound();
 
   const auto& program = app.program();
   util::Rng rng(options.seed);
@@ -158,11 +182,8 @@ RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
         inject::obs_note_recovery(0, detect_time);
         return;
       }
-      double restart_cost = 0.0;
-      if (const model::PerfModel* rm = arch.restart(best.level))
-        restart_cost = options.monte_carlo
-                           ? rm->sample(best.record->params, rng)
-                           : rm->predict(best.record->params);
+      const double restart_cost = priced.restart_cost(
+          best.record->resume_pc - 1, options.monte_carlo, rng);
       fault_rec.recovery_level = static_cast<int>(best.level);
       fault_rec.lost_work_seconds = detect_time - best.record->completed_at;
       fault_rec.restart_cost_seconds = restart_cost;
@@ -192,8 +213,7 @@ RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
       break;
     }
     const Instr& instr = program[pc];
-    double duration =
-        instr_duration(instr, app, arch, options.monte_carlo, rng);
+    double duration = priced.duration(pc, options.monte_carlo, rng);
     double background = 0.0;
     if (instr.kind == InstrKind::kCheckpoint && instr.async) {
       // Stall until the previous background flush drains, stage locally,
@@ -217,10 +237,9 @@ RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
         ++ts_done;
         break;
       case InstrKind::kCheckpoint: {
-        CheckpointRecord rec;
+        inject::CheckpointRecord rec;
         rec.resume_pc = pc + 1;
         rec.timesteps_done = ts_done;
-        rec.params = instr.params;
         rec.available_at = clock + background;
         rec.completed_at = clock;
         if (instr.async) async_busy_until = clock + background;

@@ -7,23 +7,28 @@
 //
 // Applications modeled here (iterative solvers with coordinated
 // checkpointing, Fig. 3) are bulk-synchronous, so the engine advances a
-// single coordinated clock per abstract instruction; per-instruction
-// durations come from the bound models (deterministic predict() or
-// Monte-Carlo sample()). A discrete-event twin (engine_des) executes the
-// same programs per-rank on the PDES kernel and is cross-validated against
-// this engine in the test suite.
+// single coordinated clock per abstract instruction. Per-instruction
+// durations are read from a PricedProgram: the bound models are priced
+// once per (AppBEO, ArchBEO), and a run takes each median as is
+// (deterministic) or draws Monte-Carlo noise around it. A discrete-event
+// twin (engine_des) executes the same programs per-rank on the PDES kernel,
+// from the same table, and is cross-validated against this engine in the
+// test suite.
 //
 // Fault injection (Cases 2 and 4 of the paper's Fig. 4) replays the
 // program against a sampled fault timeline with FTI-level-aware rollback.
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/arch.hpp"
 #include "core/beo.hpp"
 #include "ft/fault_log.hpp"
 #include "ft/faults.hpp"
+#include "model/perf_model.hpp"
+#include "util/rng.hpp"
 
 namespace ftbesst::core {
 
@@ -110,9 +115,62 @@ struct RunResult {
   bool completed = true;
 };
 
-/// Execute `app` on `arch`. Throws std::out_of_range if the AppBEO
-/// references a kernel with no bound model, std::invalid_argument on
-/// rank/architecture mismatches.
+/// An AppBEO priced against an ArchBEO once, read by every run of both
+/// engines. Per instruction it holds the resolved model and its
+/// model::Price (compute and checkpoint), the analytic duration (exchange,
+/// allreduce, barrier; 0 for timestep markers), and for a checkpoint the
+/// price of restarting from it (the level's restart model at the
+/// checkpoint's params). A draw from the table makes the same RNG calls and
+/// returns the same doubles as sampling the models in place, so an ensemble
+/// that builds it once is bit-identical to one that prices every trial.
+/// Refers to `app` and `arch`, which must outlive it.
+class PricedProgram {
+ public:
+  PricedProgram(const AppBEO& app, const ArchBEO& arch);
+
+  [[nodiscard]] const AppBEO& app() const noexcept { return *app_; }
+  [[nodiscard]] const ArchBEO& arch() const noexcept { return *arch_; }
+  /// Duration of instruction `pc`: its median, or with `monte_carlo` one
+  /// draw from `rng`.
+  [[nodiscard]] double duration(std::size_t pc, bool monte_carlo,
+                                util::Rng& rng) const {
+    return draw(durations_[pc], pc, monte_carlo, rng);
+  }
+  /// Restart cost of recovering from the checkpoint at `pc` (0 when its
+  /// level has no restart model); same draw rule as duration().
+  [[nodiscard]] double restart_cost(std::size_t pc, bool monte_carlo,
+                                    util::Rng& rng) const {
+    return draw(restarts_[pc], pc, monte_carlo, rng);
+  }
+  /// Throws std::out_of_range if the program references a kernel with no
+  /// bound model. The engines call it after their argument checks, so an
+  /// std::invalid_argument still wins over an unbound kernel.
+  void require_bound() const;
+
+ private:
+  struct Slot {
+    const model::PerfModel* model = nullptr;  ///< null: fixed price
+    model::Price price;
+  };
+  [[nodiscard]] double draw(const Slot& slot, std::size_t pc,
+                            bool monte_carlo, util::Rng& rng) const {
+    if (!monte_carlo || slot.price.kind == model::DrawKind::kFixed)
+      return slot.price.median;
+    return slot.model->draw(slot.price, app_->program()[pc].params, rng);
+  }
+
+  const AppBEO* app_;
+  const ArchBEO* arch_;
+  std::vector<Slot> durations_;  ///< per instruction
+  std::vector<Slot> restarts_;   ///< per instruction; checkpoints only
+  std::string unbound_;          ///< first kernel with no bound model
+};
+
+/// Execute `app` on `arch`, or a program already priced from them.
+/// Throws std::out_of_range if the AppBEO references a kernel with no
+/// bound model, std::invalid_argument on rank/architecture mismatches.
+[[nodiscard]] RunResult run_bsp(const PricedProgram& program,
+                                const EngineOptions& options = {});
 [[nodiscard]] RunResult run_bsp(const AppBEO& app, const ArchBEO& arch,
                                 const EngineOptions& options = {});
 

@@ -129,11 +129,10 @@ std::vector<std::int64_t> exchange_neighbors(std::int64_t rank,
 /// Executes the SPMD program for one rank.
 class RankComponent final : public Component {
  public:
-  RankComponent(std::int64_t rank, const AppBEO& app, const ArchBEO& arch,
+  RankComponent(std::int64_t rank, const PricedProgram& priced,
                 bool monte_carlo, util::Rng rng)
       : Component("rank" + std::to_string(rank)),
-        app_(&app),
-        arch_(&arch),
+        priced_(&priced),
         monte_carlo_(monte_carlo),
         rng_(rng) {}
 
@@ -168,7 +167,7 @@ class RankComponent final : public Component {
 
  private:
   void advance() {
-    const auto& program = app_->program();
+    const auto& program = priced_->app().program();
     while (pc_ < program.size()) {
       const Instr& instr = program[pc_];
       ++instructions_executed;
@@ -178,9 +177,7 @@ class RankComponent final : public Component {
                     injected_ ? sim::box<std::uint64_t>(epoch_) : nullptr);
         return;
       }
-      const model::PerfModel& m = arch_->kernel(instr.kernel);
-      const double seconds = monte_carlo_ ? m.sample(instr.params, rng_)
-                                          : m.predict(instr.params);
+      const double seconds = priced_->duration(pc_, monte_carlo_, rng_);
       schedule_self(sim::from_seconds(seconds),
                     injected_ ? sim::box<std::uint64_t>(epoch_) : nullptr,
                     kSelfWake);
@@ -188,8 +185,7 @@ class RankComponent final : public Component {
     }
   }
 
-  const AppBEO* app_;
-  const ArchBEO* arch_;
+  const PricedProgram* priced_;
   bool monte_carlo_;
   util::Rng rng_;
   sim::ComponentId coord_ = sim::kNoComponent;
@@ -201,15 +197,14 @@ class RankComponent final : public Component {
 /// Coordinates every synchronizing instruction and records the run trace.
 class Coordinator final : public Component {
  public:
-  Coordinator(const AppBEO& app, const ArchBEO& arch, bool monte_carlo,
-              util::Rng rng)
+  Coordinator(const PricedProgram& priced, bool monte_carlo, util::Rng rng)
       : Component("coordinator"),
-        app_(&app),
-        arch_(&arch),
+        priced_(&priced),
+        app_(&priced.app()),
         monte_carlo_(monte_carlo),
         rng_(rng) {
     result_.timestep_end_times.assign(
-        static_cast<std::size_t>(app.timesteps()), 0.0);
+        static_cast<std::size_t>(app_->timesteps()), 0.0);
   }
 
   void set_ranks(std::vector<sim::ComponentId> ranks) {
@@ -258,33 +253,12 @@ class Coordinator final : public Component {
 
     // All ranks reached the collective at program counter `sync_pc_`.
     const Instr& instr = app_->program()[sync_pc_];
-    switch (instr.kind) {
-      case InstrKind::kNeighborExchange:
-        if (network_ != nullptr && instr.degree > 0 && app_->ranks() > 1) {
-          start_network_exchange(instr);
-          return;  // finish_collective fires on the last delivery
-        }
-        finish_collective(arch_->comm().neighbor_exchange_time(
-            app_->ranks(), instr.degree, instr.bytes));
-        return;
-      case InstrKind::kAllReduce:
-        finish_collective(
-            arch_->comm().allreduce_time(app_->ranks(), instr.bytes));
-        return;
-      case InstrKind::kBarrier:
-        finish_collective(arch_->comm().barrier_time(app_->ranks()));
-        return;
-      case InstrKind::kCheckpoint: {
-        const model::PerfModel& m = arch_->kernel(instr.kernel);
-        finish_collective(monte_carlo_ ? m.sample(instr.params, rng_)
-                                       : m.predict(instr.params));
-        return;
-      }
-      case InstrKind::kTimestepEnd:
-      case InstrKind::kCompute:
-        finish_collective(0.0);
-        return;
+    if (instr.kind == InstrKind::kNeighborExchange && network_ != nullptr &&
+        instr.degree > 0 && app_->ranks() > 1) {
+      start_network_exchange(instr);
+      return;  // finish_collective fires on the last delivery
     }
+    finish_collective(priced_->duration(sync_pc_, monte_carlo_, rng_));
   }
 
   RunResult result_;
@@ -353,7 +327,6 @@ class Coordinator final : public Component {
         inject::CheckpointRecord rec;
         rec.resume_pc = sync_pc_ + 1;
         rec.timesteps_done = ts_done_;
-        rec.params = instr.params;
         rec.available_at = end_seconds;
         rec.completed_at = end_seconds;
         ledger_.record(instr.level, std::move(rec));
@@ -413,7 +386,7 @@ class Coordinator final : public Component {
                                      ? schedule_[sched_pos_].time
                                      : 1e300;
       const inject::RecoverySelection best = ledger_.select(
-          arch_->fti(), app_->ranks(), failures, detect,
+          priced_->arch().fti(), app_->ranks(), failures, detect,
           sdc ? strike : inject::RecoveryLedger::no_freshness_limit());
       if (best.record == nullptr) {
         // Unrecoverable: restart the application from the beginning.
@@ -427,10 +400,8 @@ class Coordinator final : public Component {
         resume(clock, 0, 0);
         return;
       }
-      double restart_cost = 0.0;
-      if (const model::PerfModel* rm = arch_->restart(best.level))
-        restart_cost = monte_carlo_ ? rm->sample(best.record->params, rng_)
-                                    : rm->predict(best.record->params);
+      const double restart_cost = priced_->restart_cost(
+          best.record->resume_pc - 1, monte_carlo_, rng_);
       rec.recovery_level = static_cast<int>(best.level);
       rec.lost_work_seconds = detect - best.record->completed_at;
       rec.restart_cost_seconds = restart_cost;
@@ -493,8 +464,8 @@ class Coordinator final : public Component {
     schedule_self(at > now() ? at - now() : 0, nullptr, kFault, -1);
   }
 
+  const PricedProgram* priced_;
   const AppBEO* app_;
-  const ArchBEO* arch_;
   bool monte_carlo_;
   util::Rng rng_;
   std::vector<sim::ComponentId> ranks_;
@@ -521,7 +492,13 @@ class Coordinator final : public Component {
 
 RunResult run_des(const AppBEO& app, const ArchBEO& arch,
                   const EngineOptions& options) {
+  return run_des(PricedProgram(app, arch), options);
+}
+
+RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   FTBESST_OBS_SPAN("core.run_des");
+  const AppBEO& app = priced.app();
+  const ArchBEO& arch = priced.arch();
   if (options.inject_faults && options.use_des_network)
     throw std::invalid_argument(
         "fault injection cannot run through the DES network substrate: "
@@ -565,7 +542,7 @@ RunResult run_des(const AppBEO& app, const ArchBEO& arch,
   }
 
   auto* coord = simulation.add_component<Coordinator>(
-      app, arch, options.monte_carlo, root.split(0xc0));
+      priced, options.monte_carlo, root.split(0xc0));
 
   std::unique_ptr<NetworkBackend> network;
   if (options.use_des_network) {
@@ -652,7 +629,7 @@ RunResult run_des(const AppBEO& app, const ArchBEO& arch,
   for (const sim::FoldGroup& group : plan.groups()) {
     const auto r = static_cast<std::int64_t>(group.representative);
     auto* rc = simulation.add_component<RankComponent>(
-        r, app, arch, options.monte_carlo,
+        r, priced, options.monte_carlo,
         root.split(static_cast<std::uint64_t>(r) + 1));
     rc->set_coordinator(coord->id());
     rc->set_multiplicity(group.multiplicity());
@@ -665,6 +642,7 @@ RunResult run_des(const AppBEO& app, const ArchBEO& arch,
     coord->set_injection(std::move(schedule), options.downtime_seconds,
                          options.max_sim_seconds);
 
+  priced.require_bound();
   const sim::SimStats stats = simulation.run();
   if (obs::enabled()) {
     static const obs::Counter runs = obs::counter("des.runs");

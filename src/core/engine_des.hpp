@@ -7,8 +7,8 @@
 // advances that rank's clock via self-events; every synchronizing
 // instruction (exchange, allreduce, barrier, checkpoint, timestep boundary)
 // routes through a Coordinator component that waits for all ranks, applies
-// the phase cost from the ArchBEO models, and releases them — exactly the
-// coordinated semantics of the bulk-synchronous fast path. In deterministic
+// the phase cost read from the PricedProgram, and releases them — exactly
+// the coordinated semantics of the bulk-synchronous fast path. In deterministic
 // mode (monte_carlo == false) run_des and run_bsp produce identical
 // timelines; the test suite enforces this engine equivalence. In
 // Monte-Carlo mode ranks draw compute durations independently (per-rank
@@ -39,6 +39,9 @@
 
 namespace ftbesst::core {
 
+/// Same errors as run_bsp; every rank and the coordinator read `program`.
+[[nodiscard]] RunResult run_des(const PricedProgram& program,
+                                const EngineOptions& options = {});
 [[nodiscard]] RunResult run_des(const AppBEO& app, const ArchBEO& arch,
                                 const EngineOptions& options = {});
 

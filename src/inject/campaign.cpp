@@ -28,12 +28,13 @@ CampaignResult run_campaign(const core::AppBEO& app, const core::ArchBEO& arch,
   for (std::size_t t = 0; t < options.trials; ++t)
     seeds[t] = seeder.split(t)();
 
+  const core::PricedProgram priced(app, arch);
   std::vector<core::RunResult> runs(options.trials);
   auto run_trial = [&](std::size_t t) {
     core::EngineOptions per_trial = base;
     per_trial.seed = seeds[t];
-    runs[t] = options.use_des ? core::run_des(app, arch, per_trial)
-                              : core::run_bsp(app, arch, per_trial);
+    runs[t] = options.use_des ? core::run_des(priced, per_trial)
+                              : core::run_bsp(priced, per_trial);
     trial_count.add();
   };
   if (options.threads == 1 || options.trials == 1) {

@@ -27,11 +27,12 @@
 namespace ftbesst::inject {
 
 /// Rollback target: resume execution at `resume_pc` with `timesteps_done`
-/// completed timesteps (wall clock never rolls back).
+/// completed timesteps (wall clock never rolls back). The checkpoint itself
+/// is the instruction at `resume_pc - 1`; the engines price its restart
+/// cost from there (core::PricedProgram::restart_cost).
 struct CheckpointRecord {
   std::size_t resume_pc = 0;
   int timesteps_done = 0;
-  std::vector<double> params;  ///< checkpoint model params (for restart)
   /// Wall-clock time at which this checkpoint becomes usable for recovery
   /// (later than its critical-path completion for async flushes).
   double available_at = 0.0;

@@ -14,6 +14,11 @@ void PerfModel::predict_batch(const Dataset& data,
     out[i] = predict(data.row(i).params);
 }
 
+double PerfModel::draw_opaque(double, std::span<const double>,
+                              util::Rng&) const {
+  throw std::logic_error(describe() + " has no opaque draw");
+}
+
 NoisyModel::NoisyModel(PerfModelPtr base, double log_sigma)
     : base_(std::move(base)), sigma_(log_sigma) {
   if (!base_) throw std::invalid_argument("NoisyModel needs a base model");
@@ -24,9 +29,8 @@ double NoisyModel::predict(std::span<const double> params) const {
   return base_->predict(params);
 }
 
-double NoisyModel::sample(std::span<const double> params,
-                          util::Rng& rng) const {
-  return rng.lognormal_median(base_->predict(params), sigma_);
+Price NoisyModel::price(std::span<const double> params) const {
+  return {base_->predict(params), DrawKind::kLognormal, sigma_};
 }
 
 std::string NoisyModel::describe() const {

@@ -6,7 +6,14 @@
 // computation. `predict` is the deterministic expectation; `sample` is the
 // Monte-Carlo draw that reproduces machine variance (the paper runs
 // Monte-Carlo ensembles so each simulated point is a distribution).
+//
+// `price` splits a draw into the part that depends only on the parameter
+// point (the median and the draw kind) and the per-trial randomness, so the
+// engines can price a whole program once and draw per trial
+// (core::PricedProgram). `sample` is defined through `price`, so the two
+// cannot drift apart.
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,6 +23,21 @@
 #include "util/rng.hpp"
 
 namespace ftbesst::model {
+
+/// How PerfModel::sample draws around the median.
+enum class DrawKind : std::uint8_t {
+  kFixed,      ///< no draw: the median itself, no RNG call
+  kLognormal,  ///< rng.lognormal_median(median, sigma): one normal() call
+  kOpaque      ///< the model's own draw (TableModel's empirical samples)
+};
+
+/// A model's answer at one parameter point: the median (== predict()) and
+/// how sample() draws around it.
+struct Price {
+  double median = 0.0;
+  DrawKind kind = DrawKind::kFixed;
+  double sigma = 0.0;  ///< log-space sigma, kLognormal only
+};
 
 class PerfModel {
  public:
@@ -30,14 +52,40 @@ class PerfModel {
   /// numbers may not depend on which path ran.
   virtual void predict_batch(const Dataset& data,
                              std::vector<double>& out) const;
-  /// One stochastic draw; the default is the deterministic prediction.
-  [[nodiscard]] virtual double sample(std::span<const double> params,
-                                      util::Rng& rng) const {
-    (void)rng;
-    return predict(params);
+  /// Median and draw kind at a parameter point. The default is a fixed
+  /// draw at predict(params); `median` must always equal predict(params).
+  [[nodiscard]] virtual Price price(std::span<const double> params) const {
+    return {predict(params)};
+  }
+  /// One stochastic draw: draw(price(params), params, rng).
+  [[nodiscard]] double sample(std::span<const double> params,
+                              util::Rng& rng) const {
+    return draw(price(params), params, rng);
+  }
+  /// One draw around `p`, which must be price(params). Consumes exactly the
+  /// random numbers sample(params, rng) would.
+  [[nodiscard]] double draw(const Price& p, std::span<const double> params,
+                            util::Rng& rng) const {
+    switch (p.kind) {
+      case DrawKind::kFixed:
+        return p.median;
+      case DrawKind::kLognormal:
+        return rng.lognormal_median(p.median, p.sigma);
+      case DrawKind::kOpaque:
+        break;
+    }
+    return draw_opaque(p.median, params, rng);
   }
   /// Human-readable description (e.g. the regressed formula).
   [[nodiscard]] virtual std::string describe() const = 0;
+
+ protected:
+  /// The DrawKind::kOpaque draw around `median` (== predict(params)). Only
+  /// models whose price() reports kOpaque override it; the default throws
+  /// std::logic_error.
+  [[nodiscard]] virtual double draw_opaque(double median,
+                                           std::span<const double> params,
+                                           util::Rng& rng) const;
 };
 
 using PerfModelPtr = std::shared_ptr<const PerfModel>;
@@ -69,8 +117,9 @@ class NoisyModel final : public PerfModel {
                      std::vector<double>& out) const override {
     base_->predict_batch(data, out);
   }
-  [[nodiscard]] double sample(std::span<const double> params,
-                              util::Rng& rng) const override;
+  /// Log-normal around the base prediction, σ = 0 included (it still
+  /// consumes one normal()).
+  [[nodiscard]] Price price(std::span<const double> params) const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] double log_sigma() const noexcept { return sigma_; }
   [[nodiscard]] const PerfModelPtr& base() const noexcept { return base_; }

@@ -133,14 +133,14 @@ double TableModel::predict(std::span<const double> params) const {
   return multilinear(params);
 }
 
-double TableModel::sample(std::span<const double> params,
-                          util::Rng& rng) const {
-  const double predicted = predict(params);
+double TableModel::draw_opaque(double predicted,
+                               std::span<const double> params,
+                               util::Rng& rng) const {
   const Point& p = points_[nearest_index(params)];
-  const double draw = p.samples[rng.uniform_int(p.samples.size())];
+  const double picked = p.samples[rng.uniform_int(p.samples.size())];
   // Rescale the drawn sample so the *relative* deviation is preserved when
   // the query point is off the calibrated grid.
-  return p.mean > 0.0 ? draw * (predicted / p.mean) : predicted;
+  return p.mean > 0.0 ? picked * (predicted / p.mean) : predicted;
 }
 
 std::string TableModel::describe() const {

@@ -38,11 +38,12 @@ class TableModel final : public PerfModel {
   TableModel(const Dataset& data, Interpolation method);
 
   [[nodiscard]] double predict(std::span<const double> params) const override;
-  /// Monte-Carlo draw: picks a random calibration sample from the nearest
-  /// grid point, rescaled by predicted/grid-mean so off-grid queries retain
-  /// the local relative variance.
-  [[nodiscard]] double sample(std::span<const double> params,
-                              util::Rng& rng) const override;
+  /// Opaque price: sample() picks a random calibration sample from the
+  /// nearest grid point, rescaled by predicted/grid-mean so off-grid
+  /// queries retain the local relative variance.
+  [[nodiscard]] Price price(std::span<const double> params) const override {
+    return {predict(params), DrawKind::kOpaque};
+  }
   [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] Interpolation method() const noexcept { return method_; }
@@ -51,6 +52,10 @@ class TableModel final : public PerfModel {
   }
 
  private:
+  [[nodiscard]] double draw_opaque(double median,
+                                   std::span<const double> params,
+                                   util::Rng& rng) const override;
+
   struct Point {
     std::vector<double> params;
     std::vector<double> samples;

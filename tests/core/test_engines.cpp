@@ -8,6 +8,7 @@
 #include "core/engine_bsp.hpp"
 #include "core/engine_des.hpp"
 #include "core/montecarlo.hpp"
+#include "inject/campaign.hpp"
 
 namespace ftbesst::core {
 namespace {
@@ -57,6 +58,66 @@ TEST(BspEngine, MissingKernelThrows) {
   ArchBEO arch = make_arch();
   const AppBEO app = make_app(1, 0);
   EXPECT_THROW((void)run_bsp(app, arch), std::out_of_range);
+}
+
+// Kernels are resolved when the program is priced, before any instruction
+// runs; every entry point still reports an unbound kernel as out_of_range.
+TEST(EngineErrors, UnboundKernelIsOutOfRangeFromEveryEntryPoint) {
+  ArchBEO arch = make_arch();
+  arch.bind_kernel("work", std::make_shared<model::ConstantModel>(1.0));
+  arch.set_fault_process(ft::FaultProcess(1e6, 1.0));
+  const AppBEO app = make_app(2, 1);  // "ckpt_l1" is unbound
+  EngineOptions opt;
+  EXPECT_THROW((void)run_bsp(app, arch, opt), std::out_of_range);
+  EXPECT_THROW((void)run_des(app, arch, opt), std::out_of_range);
+  EXPECT_THROW((void)run_ensemble(app, arch, opt, 4), std::out_of_range);
+  inject::CampaignOptions campaign;
+  campaign.trials = 3;
+  for (bool use_des : {true, false}) {
+    campaign.use_des = use_des;
+    EXPECT_THROW((void)inject::run_campaign(app, arch, campaign),
+                 std::out_of_range)
+        << "use_des=" << use_des;
+  }
+}
+
+// ...but the argument errors that were raised before any instruction ran
+// still win over an unbound kernel.
+TEST(EngineErrors, InvalidArgumentsWinOverUnboundKernel) {
+  ArchBEO arch = make_arch();  // capacity 16 ranks, no fault process
+  inject::CampaignOptions campaign;
+  campaign.trials = 2;
+
+  const AppBEO too_big = make_app(1, 0, /*ranks=*/64);  // "work" unbound
+  EXPECT_THROW((void)run_bsp(too_big, arch), std::invalid_argument);
+  EXPECT_THROW((void)run_des(too_big, arch), std::invalid_argument);
+  EXPECT_THROW((void)run_ensemble(too_big, arch, EngineOptions{}, 3),
+               std::invalid_argument);
+  EXPECT_THROW((void)inject::run_campaign(too_big, arch, campaign),
+               std::invalid_argument);
+
+  const AppBEO app = make_app(2, 0);  // "work" unbound
+  EngineOptions injected;
+  injected.inject_faults = true;  // but the architecture has no process
+  EXPECT_THROW((void)run_bsp(app, arch, injected), std::invalid_argument);
+  EXPECT_THROW((void)run_des(app, arch, injected), std::invalid_argument);
+  EXPECT_THROW((void)run_ensemble(app, arch, injected, 3),
+               std::invalid_argument);
+  for (bool use_des : {true, false}) {
+    campaign.use_des = use_des;
+    EXPECT_THROW((void)inject::run_campaign(app, arch, campaign),
+                 std::invalid_argument)
+        << "use_des=" << use_des;
+  }
+
+  arch.set_fault_process(ft::FaultProcess(1e6, 1.0));
+  EngineOptions des_network = injected;
+  des_network.use_des_network = true;
+  EXPECT_THROW((void)run_des(app, arch, des_network), std::invalid_argument);
+  campaign.use_des = true;
+  campaign.engine.use_des_network = true;
+  EXPECT_THROW((void)inject::run_campaign(app, arch, campaign),
+               std::invalid_argument);
 }
 
 TEST(BspEngine, TooManyRanksThrows) {

@@ -3,8 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 namespace ftbesst::net {
+
+// Print sweep parameters by topology name, not by address, so the test
+// names are stable from one run to the next. Found by ADL through
+// std::shared_ptr<Topology>, hence outside the anonymous namespace.
+void PrintTo(const std::shared_ptr<Topology>& topo, std::ostream* os) {
+  *os << topo->name();
+}
+
 namespace {
 
 TEST(FatTree, NodeCountAndLeafAssignment) {
