@@ -5,8 +5,12 @@
 // L1+L2 FTI plan, a node-level fail-stop process (Weibull-capable, here
 // exponential) AND a silent-corruption process with detection latency —
 // the open paper Cases 1/2 configuration. Two sections:
-//   - "single_run": one injected run_des: wall-clock, PDES events,
-//     events/sec, faults/rollbacks, makespan.
+//   - "single_run": one injected run_des, folded and unfolded
+//     (fold_symmetry off, every rank its own component): wall-clock, PDES
+//     events and events/sec of each, faults/rollbacks, makespan. Recovery
+//     is coordinated, so the folded run keeps struck ranks in their class
+//     and dispatches a few hundred events; the unfolded run is the raw
+//     event throughput under faults.
 //   - "campaign": the N-trial Monte-Carlo campaign (inject::run_campaign)
 //     at 1 thread and on the shared pool: wall-clock, trials/sec, makespan
 //     distribution (mean/p10/p50/p90), mean faults and per-level
@@ -14,6 +18,8 @@
 //
 // Exit 1 (DIVERGENCE/GATE line on stderr) if:
 //   - the single injected run does not complete or injects no faults,
+//   - the folded and unfolded single runs differ in any result field
+//     (sim_events aside) or fault-log byte,
 //   - the 1-thread and pooled campaigns disagree bitwise on any trial
 //     makespan or on the fault log,
 //   - any campaign trial hits the simulation horizon, or
@@ -113,6 +119,52 @@ CampaignLeg run_leg(const core::AppBEO& app, const core::ArchBEO& arch,
   return leg;
 }
 
+struct SingleRun {
+  double wall_sec = 0;
+  core::RunResult result;
+};
+
+SingleRun run_single(const core::AppBEO& app, const core::ArchBEO& arch,
+                     bool fold) {
+  core::EngineOptions opt = make_options();
+  opt.fold_symmetry = fold;
+  SingleRun run;
+  const auto start = Clock::now();
+  run.result = core::run_des(app, arch, opt);
+  run.wall_sec = seconds_since(start);
+  return run;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!bits_equal(a[i], b[i])) return false;
+  return true;
+}
+
+/// Every field except the sim_events diagnostic, bit for bit.
+bool runs_identical(const core::RunResult& a, const core::RunResult& b) {
+  return bits_equal(a.total_seconds, b.total_seconds) &&
+         bits_equal(a.timestep_end_times, b.timestep_end_times) &&
+         a.checkpoint_timesteps == b.checkpoint_timesteps &&
+         a.instructions_executed == b.instructions_executed &&
+         a.faults == b.faults && a.rollbacks == b.rollbacks &&
+         a.full_restarts == b.full_restarts &&
+         bits_equal(a.lost_work_seconds, b.lost_work_seconds) &&
+         a.recoveries_by_level == b.recoveries_by_level &&
+         a.completed == b.completed &&
+         a.fault_log.to_text() == b.fault_log.to_text();
+}
+
+void print_single_run(const char* key, const SingleRun& run) {
+  const auto events = run.result.sim_events;
+  std::cout << "\"" << key << "\": {\"wall_sec\": " << run.wall_sec
+            << ", \"events\": " << events << ", \"events_per_sec\": "
+            << (run.wall_sec > 0 ? static_cast<double>(events) / run.wall_sec
+                                 : 0.0)
+            << "}";
+}
+
 bool campaigns_identical(const inject::CampaignResult& a,
                          const inject::CampaignResult& b) {
   if (a.totals.size() != b.totals.size()) return false;
@@ -149,35 +201,38 @@ int main() {
   const core::AppBEO app = make_app();
   const core::ArchBEO arch = make_arch();
 
-  // Single injected DES run: raw event throughput under faults.
-  const auto single_start = Clock::now();
-  const core::RunResult single = core::run_des(app, arch, make_options());
-  const double single_wall = seconds_since(single_start);
+  // Single injected DES run, folded and unfolded: the unfolded run is the
+  // raw event throughput under faults.
+  const SingleRun folded = run_single(app, arch, true);
+  const SingleRun unfolded = run_single(app, arch, false);
+  const core::RunResult& single = folded.result;
 
   const CampaignLeg serial = run_leg(app, arch, 1);
   const CampaignLeg pooled = run_leg(app, arch, 0);
 
   const bool single_ok = single.completed && single.faults > 0;
+  const bool fold_identical = runs_identical(folded.result, unfolded.result);
   const bool identical = campaigns_identical(serial.result, pooled.result);
   const bool all_complete = pooled.result.incomplete_trials == 0;
   const bool wall_ok = pooled.wall_sec < 10.0;
-  const bool gates_pass = single_ok && identical && all_complete && wall_ok;
+  const bool gates_pass =
+      single_ok && fold_identical && identical && all_complete && wall_ok;
 
   std::cout.precision(6);
   std::cout << "{\n  \"workload\": {\"app\": \"lulesh_fti\", \"ranks\": "
             << kRanks << ", \"timesteps\": " << kTimesteps
             << ", \"plan\": \"L1:10,L2:20\", \"trials\": " << kTrials
             << "},\n"
-            << "  \"single_run\": {\"wall_sec\": " << single_wall
-            << ", \"events\": " << single.sim_events
-            << ", \"events_per_sec\": "
-            << (single_wall > 0
-                    ? static_cast<double>(single.sim_events) / single_wall
-                    : 0.0)
-            << ", \"total_seconds\": " << single.total_seconds
+            << "  \"single_run\": {";
+  print_single_run("folded", folded);
+  std::cout << ", ";
+  print_single_run("unfolded", unfolded);
+  std::cout << ", \"total_seconds\": " << single.total_seconds
             << ", \"faults\": " << single.faults
             << ", \"rollbacks\": " << single.rollbacks
-            << ", \"full_restarts\": " << single.full_restarts << "},\n"
+            << ", \"full_restarts\": " << single.full_restarts
+            << ", \"fold_bitwise_identical\": "
+            << (fold_identical ? "true" : "false") << "},\n"
             << "  \"campaign\": {\n";
   print_campaign_leg("threads_1", serial, false);
   print_campaign_leg("pooled", pooled, true);
@@ -190,6 +245,8 @@ int main() {
 
   if (!single_ok)
     std::cerr << "GATE: single injected run incomplete or fault-free\n";
+  else if (!fold_identical)
+    std::cerr << "DIVERGENCE: folded and unfolded injected runs differ\n";
   else if (!identical)
     std::cerr << "DIVERGENCE: campaign depends on the thread count\n";
   else if (!all_complete)

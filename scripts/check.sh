@@ -45,8 +45,9 @@
 #     ThreadSanitizer — campaigns fan trials out over the shared task
 #     pool, so the thread-bit-identity claims run sanitized — plus the
 #     bench_ext_inject gates on the Release tree: a 1000-rank faulty
-#     LULESH+FTI campaign, bit-identical at 1 thread vs the pool, every
-#     trial completing, under 10 s of wall.
+#     LULESH+FTI run bit-identical folded vs unfolded (every result field
+#     and fault-log byte), and its campaign bit-identical at 1 thread vs
+#     the pool, every trial completing, under 10 s of wall.
 #
 #   - a guided-search pass: the src/search test suite (space encoding, GP
 #     surrogate, successive-halving bandit, Pareto bookkeeping, search
@@ -328,14 +329,15 @@ if [ "$run_inject" = 1 ]; then
     ./build-release/tests/test_inject
   fi
 
-  # bench_ext_inject exits non-zero if the 1000-rank faulty LULESH
+  # bench_ext_inject exits non-zero if the folded and unfolded 1000-rank
+  # faulty LULESH runs differ in any result field or fault-log byte, the
   # campaign diverges bitwise between 1 thread and the pool, any trial
   # hits the simulation horizon, or the pooled campaign misses the < 10 s
   # wall gate.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "$jobs" --target bench_ext_inject
   ./build-release/bench/bench_ext_inject > build-release/bench_ext_inject.json
-  echo "inject pass: TSan inject suite + campaign bit-identity/wall gates passed"
+  echo "inject pass: TSan inject suite + fold/campaign bit-identity/wall gates passed"
 fi
 
 if [ "$run_search" = 1 ]; then

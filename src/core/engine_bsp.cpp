@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "inject/ledger.hpp"
-#include "inject/obs_hooks.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 
@@ -108,104 +107,27 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   inject::RecoveryLedger ledger;
 
   // The pending fault event (time/node/kind); re-drawn (or advanced along
-  // the replay trace) after each strike.
+  // the replay trace) after each strike. Without injection it never
+  // strikes.
   std::size_t trace_pos = 0;
-  auto draw_next_fault = [&](double from) {
-    ft::FaultEvent ev;
-    ev.time = -1.0;
-    if (!options.inject_faults) return ev;
-    if (replay) {
-      while (trace_pos < options.fault_trace.size() &&
-             options.fault_trace[trace_pos].time < from)
-        ++trace_pos;
-      if (trace_pos < options.fault_trace.size())
-        ev = options.fault_trace[trace_pos++];
-      return ev;
-    }
-    return arch.fault_process()->next_after(from, nodes, fault_rng);
+  auto next_fault = [&](double from) -> ft::FaultEvent {
+    if (!replay)
+      return arch.fault_process()->next_after(from, nodes, fault_rng);
+    while (trace_pos < options.fault_trace.size() &&
+           options.fault_trace[trace_pos].time < from)
+      ++trace_pos;
+    if (trace_pos < options.fault_trace.size())
+      return options.fault_trace[trace_pos++];
+    ft::FaultEvent none;
+    none.time = inject::kNoFault;
+    return none;
   };
-  ft::FaultEvent pending = draw_next_fault(0.0);
-
-  // Handle the pending fault (and any further faults that strike during
-  // recovery itself — recovery work is lost and retried, so wall clock is
-  // strictly monotone). Silent corruptions (only possible via a replay
-  // trace here; the sampled process is fail-stop) are simplified by the
-  // coarse engine: the interrupted instruction stops at the strike and the
-  // detection latency is charged as extra outage before the downtime, so
-  // no poisoned checkpoints are ever taken — the freshness filter then
-  // excludes anything completed after the corruption instant. The DES
-  // engine models the full corrupted-execution window.
-  auto handle_fault = [&]() {
-    for (;;) {
-      if (clock > options.max_sim_seconds) {
-        result.completed = false;
-        pc = program.size();  // abandon the run
-        return;
-      }
-      ++result.faults;
-      ft::FailureSet failures;
-      failures.nodes = {pending.node};
-      failures.kind = pending.kind;
-      const bool sdc = pending.kind == ft::FailureKind::kSilentCorruption;
-      // Strike = when state is damaged; detect = when recovery can react.
-      // Identical for fail-stop faults (detect_after is 0).
-      const double strike_time = pending.time;
-      const double detect_time = pending.time + pending.detect_after;
-      inject::obs_note_fault(pending.kind);
-      ft::FaultRecord fault_rec;
-      fault_rec.time = strike_time;
-      fault_rec.node = pending.node;
-      fault_rec.kind = pending.kind;
-      fault_rec.detect_after = pending.detect_after;
-
-      clock = detect_time + options.downtime_seconds;
-      async_busy_until = clock;  // any in-flight background flush is moot
-      pending = draw_next_fault(clock);
-      if (pending.time < 0.0) pending.time = 1e300;  // trace exhausted
-
-      // Best (most progressed, then highest) recoverable checkpoint whose
-      // (possibly background) write had completed before the fault struck
-      // — and, for SDC, that snapshotted state from before the corruption.
-      const inject::RecoverySelection best = ledger.select(
-          arch.fti(), app.ranks(), failures, detect_time,
-          sdc ? strike_time : inject::RecoveryLedger::no_freshness_limit());
-      if (best.record == nullptr) {
-        // Unrecoverable: restart the application from the beginning.
-        ++result.full_restarts;
-        pc = 0;
-        ts_done = 0;
-        ledger.clear();
-        fault_rec.recovery_level = 0;
-        fault_rec.lost_work_seconds = detect_time;
-        result.lost_work_seconds += detect_time;
-        result.fault_log.add(fault_rec);
-        inject::obs_note_recovery(0, detect_time);
-        return;
-      }
-      const double restart_cost = priced.restart_cost(
-          best.record->resume_pc - 1, options.monte_carlo, rng);
-      fault_rec.recovery_level = static_cast<int>(best.level);
-      fault_rec.lost_work_seconds = detect_time - best.record->completed_at;
-      fault_rec.restart_cost_seconds = restart_cost;
-      if (clock + restart_cost > pending.time) {
-        // Recovery killed by the next fault: log the voided attempt, but
-        // leave the lost-work total to the fault that finally resolves (its
-        // discarded window subsumes this one).
-        result.fault_log.add(fault_rec);
-        continue;
-      }
-      clock += restart_cost;
-      ++result.rollbacks;
-      ++result.recoveries_by_level[static_cast<int>(best.level) - 1];
-      result.lost_work_seconds += fault_rec.lost_work_seconds;
-      result.fault_log.add(fault_rec);
-      inject::obs_note_recovery(static_cast<int>(best.level),
-                                fault_rec.lost_work_seconds);
-      pc = best.record->resume_pc;
-      ts_done = best.record->timesteps_done;
-      return;
-    }
-  };
+  ft::FaultEvent pending;
+  pending.time = -1.0;
+  if (options.inject_faults) pending = next_fault(0.0);
+  const inject::RecoveryParams recovery{&arch.fti(), app.ranks(),
+                                        options.downtime_seconds,
+                                        options.max_sim_seconds};
 
   while (pc < program.size()) {
     if (clock > options.max_sim_seconds) {
@@ -224,7 +146,25 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
       duration = stall + stage;
     }
     if (pending.time >= 0.0 && clock + duration > pending.time) {
-      handle_fault();
+      // Silent corruptions (only possible via a replay trace here; the
+      // sampled process is fail-stop) are simplified by the coarse engine:
+      // the interrupted instruction stops at the strike and the detection
+      // latency is charged as extra outage, so no poisoned checkpoint is
+      // ever taken. The DES engine models the corrupted-execution window.
+      const inject::RecoveryOutcome out = inject::resolve_fault(
+          pending, clock, recovery, ledger, result, next_fault,
+          [&](std::size_t at) {
+            return priced.restart_cost(at, options.monte_carlo, rng);
+          });
+      clock = out.clock;
+      if (out.action == inject::Recovery::kAbandon) {
+        result.completed = false;
+        break;
+      }
+      pending = out.next;
+      pc = out.resume_pc;
+      ts_done = out.timesteps_done;
+      async_busy_until = clock;  // any in-flight background flush is moot
       continue;  // re-execute from the rollback point
     }
     clock += duration;

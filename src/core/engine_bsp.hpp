@@ -18,15 +18,14 @@
 // Fault injection (Cases 2 and 4 of the paper's Fig. 4) replays the
 // program against a sampled fault timeline with FTI-level-aware rollback.
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/arch.hpp"
 #include "core/beo.hpp"
-#include "ft/fault_log.hpp"
 #include "ft/faults.hpp"
+#include "inject/ledger.hpp"
 #include "model/perf_model.hpp"
 #include "util/rng.hpp"
 
@@ -79,12 +78,16 @@ struct EngineOptions {
   bool fold_symmetry = true;
   /// DES engine only: rank ids forced out of their fold group into
   /// singleton classes (clone-on-divergence) and instantiated individually
-  /// — the hook for pinning fault-injection victims or locally perturbed
-  /// ranks. Out-of-range ids are ignored.
+  /// — the hook for locally perturbed ranks. Fault injection does not need
+  /// it: recovery is coordinated, so struck ranks stay in their class.
+  /// Out-of-range ids are ignored.
   std::vector<std::int64_t> divergent_ranks;
 };
 
-struct RunResult {
+/// One run's prediction. The recovery tallies (faults, rollbacks,
+/// full_restarts, lost_work_seconds, recoveries_by_level, fault_log) come
+/// from inject::FaultTally, which inject::resolve_fault fills.
+struct RunResult : inject::FaultTally {
   double total_seconds = 0.0;
   /// Cumulative wall-clock at each solver timestep boundary (the curves of
   /// the paper's Figs. 7-8).
@@ -98,20 +101,6 @@ struct RunResult {
   /// prediction field identical, so it is deliberately excluded from the
   /// verify corpus text format.
   std::uint64_t sim_events = 0;
-  int faults = 0;           ///< faults that struck during execution
-  int rollbacks = 0;        ///< recoveries from a checkpoint
-  int full_restarts = 0;    ///< unrecoverable failures (restart from start)
-  /// Wall-clock seconds of execution discarded by rollbacks: per fault, the
-  /// window from the restored checkpoint's completion (application start
-  /// for a full restart) to the fault's detection.
-  double lost_work_seconds = 0.0;
-  /// Successful rollbacks that restored a level-L checkpoint, at index L-1.
-  std::array<int, 4> recoveries_by_level{};
-  /// Per-fault campaign records (strike time, node, kind, recovery level
-  /// chosen, lost work, restart cost). Trial ids are 0 here; the ensemble
-  /// and campaign drivers re-tag per trial. Exportable as CSV and as the
-  /// replayable `ftbesst-faultlog v1` text format (ft/fault_log.hpp).
-  ft::FaultLog fault_log;
   bool completed = true;
 };
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "inject/ledger.hpp"
-#include "inject/obs_hooks.hpp"
 #include "inject/schedule.hpp"
 #include "net/des_network.hpp"
 #include "net/des_torus.hpp"
@@ -215,13 +214,13 @@ class Coordinator final : public Component {
     net_ranks_per_node_ = ranks_per_node;
   }
   /// Arm fault injection: replay `schedule` (absolute strike times,
-  /// time-ordered) with recovery resolved through the checkpoint ledger.
+  /// time-ordered) with recovery resolved by inject::resolve_fault.
   void set_injection(std::vector<ft::FaultEvent> schedule,
-                     double downtime_seconds, double max_sim_seconds) {
+                     const EngineOptions& options) {
     injected_ = true;
     schedule_ = std::move(schedule);
-    downtime_ = downtime_seconds;
-    max_sim_seconds_ = max_sim_seconds;
+    recovery_ = {&priced_->arch().fti(), app_->ranks(),
+                 options.downtime_seconds, options.max_sim_seconds};
   }
 
   void init() override {
@@ -229,7 +228,10 @@ class Coordinator final : public Component {
     const auto& program = app_->program();
     while (sync_pc_ < program.size() && !is_collective(program[sync_pc_].kind))
       ++sync_pc_;
-    if (injected_) schedule_next_fault();
+    if (injected_) {
+      pending_ = next_fault(0.0);
+      schedule_next_fault();
+    }
   }
 
   void handle_event(PortId port, std::unique_ptr<Payload> payload) override {
@@ -304,7 +306,7 @@ class Coordinator final : public Component {
     const SimTime duration = sim::from_seconds(extra_seconds);
     const double end_seconds = sim::to_seconds(now() + duration);
 
-    if (injected_ && end_seconds > max_sim_seconds_) {
+    if (injected_ && end_seconds > recovery_.max_sim_seconds) {
       // Horizon exceeded (the no-FT + high-fault-rate regime can thrash
       // forever): abandon the run, mirroring the coarse engine.
       abandon(end_seconds);
@@ -345,83 +347,35 @@ class Coordinator final : public Component {
                   injected_ ? sim::box<std::uint64_t>(epoch_) : nullptr);
   }
 
-  /// A fault's detection event fired: resolve recovery synchronously (the
-  /// same retry loop as the coarse engine — downtime, ledger selection,
-  /// restart cost, further faults that kill the recovery itself) and
-  /// broadcast the rollback. Wall clock never rolls back; the rewound
+  /// The pending fault's detection event fired: resolve recovery
+  /// synchronously (inject::resolve_fault, shared with the coarse engine)
+  /// and broadcast the rollback. Wall clock never rolls back; the rewound
   /// timeline's in-flight events are orphaned by the epoch bump.
   void on_fault() {
     if (done_) return;  // application already past its last rendezvous
-    ft::FaultEvent fault = schedule_[sched_pos_++];
-    double clock = sim::to_seconds(now());
-    for (;;) {
-      if (clock > max_sim_seconds_) {
-        abandon(clock);
-        return;
-      }
-      ++result_.faults;
-      const bool sdc = fault.kind == ft::FailureKind::kSilentCorruption;
-      const double strike = fault.time;
-      const double detect = fault.time + fault.detect_after;
-      inject::obs_note_fault(fault.kind);
-      ft::FaultRecord rec;
-      rec.time = strike;
-      rec.node = fault.node;
-      rec.kind = fault.kind;
-      rec.detect_after = fault.detect_after;
-      ft::FailureSet failures;
-      failures.nodes = {fault.node};
-      failures.kind = fault.kind;
-      // Checkpoints completed after the strike either never happened (the
-      // rollback rewinds the timeline before their completion) or snapshot
-      // corrupted state (SDC): drop them for good.
-      ledger_.purge_after(strike);
-      clock = detect + downtime_;
-      // Faults striking during the outage are absorbed by it (matching the
-      // coarse engine's replay semantics).
-      while (sched_pos_ < schedule_.size() &&
-             schedule_[sched_pos_].time < clock)
-        ++sched_pos_;
-      const double next_strike = sched_pos_ < schedule_.size()
-                                     ? schedule_[sched_pos_].time
-                                     : 1e300;
-      const inject::RecoverySelection best = ledger_.select(
-          priced_->arch().fti(), app_->ranks(), failures, detect,
-          sdc ? strike : inject::RecoveryLedger::no_freshness_limit());
-      if (best.record == nullptr) {
-        // Unrecoverable: restart the application from the beginning.
-        ++result_.full_restarts;
-        ledger_.clear();
-        rec.recovery_level = 0;
-        rec.lost_work_seconds = detect;
-        result_.lost_work_seconds += detect;
-        result_.fault_log.add(rec);
-        inject::obs_note_recovery(0, detect);
-        resume(clock, 0, 0);
-        return;
-      }
-      const double restart_cost = priced_->restart_cost(
-          best.record->resume_pc - 1, monte_carlo_, rng_);
-      rec.recovery_level = static_cast<int>(best.level);
-      rec.lost_work_seconds = detect - best.record->completed_at;
-      rec.restart_cost_seconds = restart_cost;
-      if (clock + restart_cost > next_strike) {
-        // Recovery killed by the next fault: log the voided attempt, but
-        // leave the lost-work total to the fault that finally resolves
-        // (its discarded window subsumes this one).
-        result_.fault_log.add(rec);
-        fault = schedule_[sched_pos_++];
-        continue;
-      }
-      ++result_.rollbacks;
-      ++result_.recoveries_by_level[static_cast<int>(best.level) - 1];
-      result_.lost_work_seconds += rec.lost_work_seconds;
-      result_.fault_log.add(rec);
-      inject::obs_note_recovery(rec.recovery_level, rec.lost_work_seconds);
-      resume(clock + restart_cost, best.record->resume_pc,
-             best.record->timesteps_done);
+    const inject::RecoveryOutcome out = inject::resolve_fault(
+        pending_, sim::to_seconds(now()), recovery_, ledger_, result_,
+        [this](double from) { return next_fault(from); },
+        [this](std::size_t pc) {
+          return priced_->restart_cost(pc, monte_carlo_, rng_);
+        });
+    if (out.action == inject::Recovery::kAbandon) {
+      abandon(out.clock);
       return;
     }
+    pending_ = out.next;
+    resume(out.clock, out.resume_pc, out.timesteps_done);
+  }
+
+  /// Next scheduled fault striking at or after `from`; faults before it
+  /// are skipped for good.
+  ft::FaultEvent next_fault(double from) {
+    while (sched_pos_ < schedule_.size() && schedule_[sched_pos_].time < from)
+      ++sched_pos_;
+    if (sched_pos_ < schedule_.size()) return schedule_[sched_pos_++];
+    ft::FaultEvent none;
+    none.time = inject::kNoFault;
+    return none;
   }
 
   /// Rewind every rank to `pc` at wall-clock `resume_clock`: bump the epoch
@@ -457,9 +411,8 @@ class Coordinator final : public Component {
   /// Self-schedule the pending fault's detection event (at most one is in
   /// flight at any time; on_fault consumes it and resume() arms the next).
   void schedule_next_fault() {
-    if (sched_pos_ >= schedule_.size()) return;
-    const ft::FaultEvent& next = schedule_[sched_pos_];
-    const SimTime at = sim::from_seconds(next.time + next.detect_after);
+    if (pending_.time >= inject::kNoFault) return;
+    const SimTime at = sim::from_seconds(pending_.time + pending_.detect_after);
     // Priority -1: a fault at tick T pre-empts same-tick completions.
     schedule_self(at > now() ? at - now() : 0, nullptr, kFault, -1);
   }
@@ -482,10 +435,10 @@ class Coordinator final : public Component {
   bool done_ = false;
   std::vector<ft::FaultEvent> schedule_;
   std::size_t sched_pos_ = 0;
+  ft::FaultEvent pending_;
   std::uint64_t epoch_ = 0;
   inject::RecoveryLedger ledger_;
-  double downtime_ = 0.0;
-  double max_sim_seconds_ = 1e8;
+  inject::RecoveryParams recovery_;
 };
 
 }  // namespace
@@ -516,9 +469,8 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   // universe matches the coarse engine: the FTI run configuration when it
   // divides the rank count, else physical packing.
   std::vector<ft::FaultEvent> schedule;
-  std::int64_t fault_rpn = 1;
   if (options.inject_faults) {
-    fault_rpn =
+    const std::int64_t fault_rpn =
         (arch.fti().node_size > 0 && app.ranks() % arch.fti().node_size == 0)
             ? arch.fti().node_size
             : arch.ranks_per_node();
@@ -590,15 +542,9 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   // class). divergent_ranks breaks individual ranks out instead of
   // disabling the whole class (clone-on-divergence).
   //
-  // Fault injection composes with folding: recovery is *coordinated* (every
-  // rank rolls back to the same checkpoint at the same instant, exactly the
-  // Fig. 3 semantics), so fold groups never diverge behaviourally and the
-  // folded prediction stays bitwise identical to the unfolded one — the
-  // test suite enforces this for injected runs. The ranks of every struck
-  // node are still broken out of their fold orbits below
-  // (clone-on-divergence) as a safety invariant: any future asymmetric
-  // recovery model (per-victim read-back, partner-node traffic) then
-  // perturbs only singleton classes, not a whole orbit.
+  // Fault injection folds like a clean run: recovery is coordinated (every
+  // rank rolls back to the same checkpoint at the same instant, the Fig. 3
+  // semantics), so struck ranks never diverge from their class.
   const bool fold = options.fold_symmetry && !options.monte_carlo &&
                     !options.use_des_network;
   sim::FoldPlan plan;
@@ -615,11 +561,6 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
     plan = sim::plan_folds(specs);
     for (std::int64_t r : options.divergent_ranks)
       if (r >= 0 && r < app.ranks())
-        plan.break_out(static_cast<std::size_t>(r));
-    // Injection victims: every rank of every struck node.
-    for (const ft::FaultEvent& ev : schedule)
-      for (std::int64_t r = ev.node * fault_rpn;
-           r < std::min((ev.node + 1) * fault_rpn, app.ranks()); ++r)
         plan.break_out(static_cast<std::size_t>(r));
   }
 
@@ -639,8 +580,7 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   }
   coord->set_ranks(std::move(rank_ids));
   if (options.inject_faults)
-    coord->set_injection(std::move(schedule), options.downtime_seconds,
-                         options.max_sim_seconds);
+    coord->set_injection(std::move(schedule), options);
 
   priced.require_bound();
   const sim::SimStats stats = simulation.run();

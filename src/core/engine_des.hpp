@@ -24,14 +24,13 @@
 // drives in-simulation fault replay: a fault schedule is pre-materialized
 // from per-node splittable streams (or taken verbatim from
 // EngineOptions::fault_trace), the coordinator self-schedules each fault's
-// detection event, resolves recovery through the shared
-// inject::RecoveryLedger (downtime, deepest surviving FTI level, restart
+// detection event, resolves recovery through inject::resolve_fault (shared
+// with the coarse engine: downtime, deepest surviving FTI level, restart
 // cost, faults that kill recovery), and broadcasts an epoch-tagged rollback
 // that rewinds every rank's plan cursor to the restored checkpoint. Events
 // from the discarded timeline are dropped by epoch checks. Injection
-// composes with symmetry folding (rollback is coordinated, so fold groups
-// stay symmetric; struck nodes' ranks are broken out of their orbits as a
-// safety invariant) but not with use_des_network — in-flight flow
+// composes with symmetry folding (rollback is coordinated, so struck ranks
+// stay in their fold class) but not with use_des_network — in-flight flow
 // deliveries cannot be rolled back, so that combination throws
 // std::invalid_argument.
 

@@ -16,17 +16,17 @@
 //   * their link signatures are isomorphic: same (port, peer port, latency)
 //     edges reaching peers of the same equivalence class, established by
 //     iterated colour refinement (1-WL) over the link graph until fixpoint.
-// A spec marked non-foldable (independent Monte-Carlo noise stream, a
-// pinned fault-injection victim) is always a singleton class.
+// A spec marked non-foldable (independent Monte-Carlo noise stream) is
+// always a singleton class.
 //
 // The builder then instantiates one representative component per group,
 // carrying the group's multiplicity (Component::set_multiplicity), and the
 // kernel scales counters back up at aggregation
 // (Simulation::aggregate_counters) so folded and unfolded runs report
-// identical statistics. Divergence discovered *after* planning — a fault
-// that singles out one member of a class — is handled by clone-on-
-// divergence: FoldPlan::break_out splits the member into its own singleton
-// group before instantiation (see docs/ARCHITECTURE.md, "Scaling the DES
+// identical statistics. Divergence discovered *after* planning — a local
+// perturbation that singles out one member of a class — is handled by
+// clone-on-divergence: FoldPlan::break_out splits the member into its own
+// singleton group before instantiation (see docs/ARCHITECTURE.md, "Scaling the DES
 // core", for the fold/no-fold rules each engine applies).
 
 #include <cstdint>
@@ -73,7 +73,7 @@ struct FoldSignature {
   /// layout, bound model identities, comm parameters...).
   std::uint64_t config_digest = 0;
   /// False marks the spec as divergent (its own singleton class): used for
-  /// per-component Monte-Carlo noise streams and fault-injection victims.
+  /// per-component Monte-Carlo noise streams.
   bool foldable = true;
 
   [[nodiscard]] bool operator==(const FoldSignature& o) const noexcept {

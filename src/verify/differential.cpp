@@ -288,11 +288,11 @@ void check_young_daly(const Scenario& s, const DiffTolerances& tol,
 // --- leg 4b: in-simulation injection (src/inject), DES engine ---
 // Three sub-checks on every fault-injecting scenario, all through the DES
 // injection path:
-//  (a) injected fold-vs-unfold, bit-identical — rollback is coordinated
-//      (every rank rewinds to the same checkpoint at the same instant), so
-//      fold groups never diverge and folding must stay a pure
-//      execution-cost optimization even mid-recovery (the rule documented
-//      at run_des's fold gate);
+//  (a) injected fold-vs-unfold, bit-identical in every result field and
+//      fault-log byte — rollback is coordinated (every rank rewinds to the
+//      same checkpoint at the same instant), so struck ranks stay folded
+//      and folding must stay a pure execution-cost optimization even
+//      mid-recovery (the rule documented at run_des's fold gate);
 //  (b) injection campaign threads 1 vs 4, bit-identical — per-trial fault
 //      seeds are derived before any trial runs;
 //  (c) on Young/Daly-eligible scenarios, the campaign mean makespan must
@@ -319,12 +319,15 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
     if (!bits_equal(folded.total_seconds, unfolded.total_seconds) ||
         !bits_equal(folded.timestep_end_times,
                     unfolded.timestep_end_times) ||
+        folded.checkpoint_timesteps != unfolded.checkpoint_timesteps ||
+        folded.instructions_executed != unfolded.instructions_executed ||
         !bits_equal(folded.lost_work_seconds, unfolded.lost_work_seconds) ||
         folded.faults != unfolded.faults ||
         folded.rollbacks != unfolded.rollbacks ||
         folded.full_restarts != unfolded.full_restarts ||
         folded.recoveries_by_level != unfolded.recoveries_by_level ||
-        folded.completed != unfolded.completed) {
+        folded.completed != unfolded.completed ||
+        folded.fault_log.to_text() != unfolded.fault_log.to_text()) {
       add_failure(report, "inject_fold",
                   pair_detail("injected fold-vs-unfold not bit-identical",
                               folded.total_seconds, "folded",

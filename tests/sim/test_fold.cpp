@@ -124,7 +124,7 @@ TEST(FoldPlan, PeerIndexOutOfRangeThrows) {
 TEST(FoldPlan, BreakOutClonesOnDivergence) {
   FoldPlan plan = plan_folds(std::vector<FoldSpec>(5, rank_spec()));
   ASSERT_EQ(plan.groups().size(), 1u);
-  plan.break_out(2);  // a fault singles out member 2
+  plan.break_out(2);  // a divergence singles out member 2
   ASSERT_EQ(plan.groups().size(), 2u);
   EXPECT_EQ(plan.multiplicity_of(2), 1u);
   EXPECT_TRUE(plan.is_representative(2));
