@@ -1,5 +1,5 @@
 // google-benchmark microbenches for the performance-critical substrates:
-// PDES event dispatch (serial and parallel), Reed-Solomon coding, GF(256)
+// DES event dispatch, Reed-Solomon coding, GF(256)
 // arithmetic, model evaluation paths, and the coarse BE engine itself.
 
 #include <benchmark/benchmark.h>
@@ -54,25 +54,6 @@ void BM_PdesSerialDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * events_per_ticker);
 }
 BENCHMARK(BM_PdesSerialDispatch)->Arg(100)->Arg(1000);
-
-void BM_PdesParallelDispatch(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    sim::Simulation sim;
-    std::vector<sim::ComponentId> ids;
-    for (int i = 0; i < 64; ++i)
-      ids.push_back(
-          sim.add_component<Ticker>(500, static_cast<sim::SimTime>(3 + i % 7))
-              ->id());
-    // Link pairs with generous latency so the lookahead window is wide.
-    for (std::size_t i = 0; i + 1 < ids.size(); i += 2)
-      sim.connect(ids[i], 0, ids[i + 1], 0, sim::SimTime{1000});
-    const auto stats = sim.run_parallel(threads);
-    benchmark::DoNotOptimize(stats.events_processed);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 500);
-}
-BENCHMARK(BM_PdesParallelDispatch)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_Gf256Mul(benchmark::State& state) {
   util::Rng rng(1);

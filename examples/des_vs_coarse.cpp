@@ -2,8 +2,7 @@
 // is BE-SST's fast path for Monte-Carlo DSE sweeps; the discrete-event
 // engine runs the identical AppBEO as a component simulation on the PDES
 // kernel (the SST role). In deterministic mode they agree exactly; the DES
-// path additionally exposes per-rank structure, and the PDES kernel itself
-// supports conservative parallel execution (demonstrated at the end).
+// path additionally exposes per-rank structure.
 
 #include <iostream>
 #include <memory>
@@ -14,28 +13,9 @@
 #include "core/engine_bsp.hpp"
 #include "core/engine_des.hpp"
 #include "net/topology.hpp"
-#include "sim/simulation.hpp"
 #include "util/table.hpp"
 
 using namespace ftbesst;
-
-namespace {
-/// Minimal self-ticking component for the parallel PDES demo.
-class Ticker final : public sim::Component {
- public:
-  Ticker(std::string name, int ticks, sim::SimTime interval)
-      : Component(std::move(name)), ticks_(ticks), interval_(interval) {}
-  void init() override { schedule_self(interval_); }
-  void handle_event(sim::PortId, std::unique_ptr<sim::Payload>) override {
-    if (++count < ticks_) schedule_self(interval_);
-  }
-  int count = 0;
-
- private:
-  int ticks_;
-  sim::SimTime interval_;
-};
-}  // namespace
 
 int main() {
   // A small machine and a LULESH program with explicit communication, so
@@ -77,33 +57,6 @@ int main() {
   std::cout << "agreement: |delta| = "
             << std::abs(coarse.total_seconds - des.total_seconds)
             << " s (instruction counts differ by design: the DES engine "
-               "counts per-rank executions)\n\n";
-
-  // Parallel PDES demonstration: same component graph, 1 vs 4 threads,
-  // identical results.
-  auto build = [](sim::Simulation& sim) {
-    std::vector<Ticker*> tickers;
-    for (int i = 0; i < 32; ++i)
-      tickers.push_back(sim.add_component<Ticker>(
-          "t" + std::to_string(i), 2000,
-          static_cast<sim::SimTime>(3 + i % 5)));
-    for (int i = 0; i + 1 < 32; i += 2)
-      sim.connect(tickers[i]->id(), 0, tickers[i + 1]->id(), 0,
-                  sim::SimTime{500});
-    return tickers;
-  };
-  sim::Simulation serial_sim, parallel_sim;
-  auto serial_tickers = build(serial_sim);
-  auto parallel_tickers = build(parallel_sim);
-  const auto serial_stats = serial_sim.run();
-  const auto parallel_stats = parallel_sim.run_parallel(4);
-  bool identical = true;
-  for (std::size_t i = 0; i < serial_tickers.size(); ++i)
-    identical &= serial_tickers[i]->count == parallel_tickers[i]->count;
-  std::cout << "PDES kernel: " << serial_stats.events_processed
-            << " events serial, " << parallel_stats.events_processed
-            << " events on 4 threads across " << parallel_stats.windows
-            << " conservative windows; results "
-            << (identical ? "identical" : "DIVERGED") << "\n";
+               "counts per-rank executions)\n";
   return 0;
 }

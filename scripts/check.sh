@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build and test the two configurations that gate every change:
 #   - an optimized Release tree (what the benches measure), and
-#   - a ThreadSanitizer tree (the task pool and the parallel DES engine are
-#     concurrency-heavy; TSan keeps them honest), and
+#   - a ThreadSanitizer tree (the task pool is concurrency-heavy and runs
+#     many simulations at once; TSan keeps it honest), and
 #   - an UndefinedBehaviorSanitizer tree (the compiled expression evaluator
 #     leans on tight pointer/index arithmetic and bit-level float handling;
 #     UBSan guards the batch kernels).
@@ -31,14 +31,14 @@
 #     generated scenarios, golden-corpus replay, and the in-process fuzz
 #     campaigns — the fuzz entries additionally under ASan+UBSan.
 #
-#   - a DES-scaling pass: the sim and verify test binaries (incremental-
-#     round parallel engine, symmetry folding, fold-vs-unfold bit
-#     identity) under ThreadSanitizer — folding is on by default, so the
-#     folded paths run sanitized — plus the bench_ext_des gates on the
-#     Release tree: folded/unfolded predictions bitwise identical across
-#     the golden corpus, thread bit-identity on the executed torus, and
-#     the 393k-rank Vulcan scenario at >= 20x fold speedup and < 10 s
-#     folded wall.
+#   - a DES-scaling pass: the sim and verify test binaries (DES kernel,
+#     symmetry folding, fold-vs-unfold bit identity) under
+#     ThreadSanitizer — the verify suite runs many simulations at once on
+#     the task pool, and folding is on by default, so the folded paths run
+#     sanitized — plus the bench_ext_des gates on the Release tree:
+#     folded/unfolded predictions bitwise identical across the golden
+#     corpus, and the 393k-rank Vulcan scenario at >= 20x fold speedup
+#     and < 10 s folded wall.
 #
 #   - a fault-injection pass: the src/inject test suite (ledger,
 #     schedule, recovery matrix, DES injection, campaign) under
@@ -278,12 +278,13 @@ if [ "$run_verify" = 1 ]; then
 fi
 
 if [ "$run_des" = 1 ]; then
-  echo "== DES-scaling pass (folding + parallel engine under TSan, bench gates) =="
-  # The incremental-round coordinator/worker protocol and the folded
-  # engine paths are the sim kernel's raciest code; folding defaults on,
-  # so the sim and verify suites exercise it under TSan directly (the
-  # verify suite adds the fold-vs-unfold differential leg and the folded
-  # corpus replay). Same probe-and-skip as the other sanitizer passes.
+  echo "== DES-scaling pass (kernel + folding under TSan, bench gates) =="
+  # Simulations share nothing but the thread-local payload freelist, and
+  # the verify suite runs many of them at once on the task pool; folding
+  # defaults on, so the sim and verify suites exercise the folded paths
+  # under TSan directly (the verify suite adds the fold-vs-unfold
+  # differential leg and the folded corpus replay). Same probe-and-skip
+  # as the other sanitizer passes.
   if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/ftbesst_tsan_probe 2>/dev/null; then
     rm -f /tmp/ftbesst_tsan_probe
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -300,13 +301,12 @@ if [ "$run_des" = 1 ]; then
   fi
 
   # bench_ext_des exits non-zero if folded predictions diverge bitwise
-  # from unfolded ones anywhere in the golden corpus, if the executed
-  # torus is not bit-identical across thread counts, or if the 393k-rank
+  # from unfolded ones anywhere in the golden corpus, or if the 393k-rank
   # Vulcan scenario misses the >= 20x fold speedup / < 10 s wall gates.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "$jobs" --target bench_ext_des
   ./build-release/bench/bench_ext_des > build-release/bench_ext_des.json
-  echo "des pass: TSan fold/parallel suites + fold-identity/speedup gates passed"
+  echo "des pass: TSan sim/fold suites + fold-identity/speedup gates passed"
 fi
 
 if [ "$run_inject" = 1 ]; then

@@ -56,6 +56,21 @@ class ArchBEO {
   // --- FT-aware hardware parameters ---
   void set_fti(ft::FtiConfig config) noexcept { fti_ = config; }
   [[nodiscard]] const ft::FtiConfig& fti() const noexcept { return fti_; }
+  /// Ranks per node of the node universe that faults strike and recovery
+  /// reasons about, shared by both engines: the FTI run configuration's
+  /// node_size when it divides `ranks`, else the physical packing. The DES
+  /// network packs ranks onto nodes the same way.
+  [[nodiscard]] std::int64_t ranks_per_fault_node(
+      std::int64_t ranks) const noexcept {
+    return (fti_.node_size > 0 && ranks % fti_.node_size == 0)
+               ? fti_.node_size
+               : ranks_per_node_;
+  }
+  /// Nodes in that universe for `ranks` ranks (the last may be partial).
+  [[nodiscard]] std::int64_t fault_nodes(std::int64_t ranks) const noexcept {
+    const std::int64_t rpn = ranks_per_fault_node(ranks);
+    return (ranks + rpn - 1) / rpn;
+  }
   void set_fault_process(std::optional<ft::FaultProcess> fp) {
     faults_ = std::move(fp);
   }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "inject/ledger.hpp"
+#include "inject/schedule.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 
@@ -78,20 +79,15 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   if (options.inject_faults && !replay && !arch.fault_process())
     throw std::invalid_argument(
         "fault injection requested but ArchBEO has no fault process");
-  for (std::size_t i = 1; i < options.fault_trace.size(); ++i)
-    if (options.fault_trace[i].time < options.fault_trace[i - 1].time)
-      throw std::invalid_argument("fault trace must be time-ordered");
+  // Node universe for faults/recoverability, shared with the DES engine.
+  const std::int64_t nodes = arch.fault_nodes(app.ranks());
+  if (options.inject_faults && replay)
+    inject::validate_schedule(options.fault_trace, nodes);
   priced.require_bound();
 
   const auto& program = app.program();
   util::Rng rng(options.seed);
   util::Rng fault_rng = rng.split(0x0fau);
-  // Node universe for faults/recoverability: the FTI run configuration
-  // (node_size ranks per node) when it applies, else physical packing.
-  const std::int64_t nodes =
-      (arch.fti().node_size > 0 && app.ranks() % arch.fti().node_size == 0)
-          ? app.ranks() / arch.fti().node_size
-          : (app.ranks() + arch.ranks_per_node() - 1) / arch.ranks_per_node();
 
   RunResult result;
   result.timestep_end_times.assign(

@@ -45,10 +45,12 @@ struct EngineOptions {
   /// back).
   bool inject_faults = false;
   /// Replay a RECORDED failure trace instead of sampling the fault process
-  /// (times are absolute simulation seconds; must be time-ordered). Used to
+  /// (times are absolute simulation seconds, time-ordered). Used to
   /// re-run an observed incident log (ftbesst faultlog / ft::fault_log)
   /// against candidate checkpoint plans. When non-empty this takes
   /// precedence over the fault process; inject_faults must still be set.
+  /// Both engines reject a malformed trace (inject::validate_schedule over
+  /// ArchBEO::fault_nodes) with std::invalid_argument.
   std::vector<ft::FaultEvent> fault_trace;
   /// Downtime before recovery can begin after a failure (node reboot /
   /// replacement), seconds.
@@ -76,12 +78,6 @@ struct EngineOptions {
   /// `use_des_network` is set, because ranks then occupy distinct network
   /// positions. See ARCHITECTURE.md, "Scaling the DES core".
   bool fold_symmetry = true;
-  /// DES engine only: rank ids forced out of their fold group into
-  /// singleton classes (clone-on-divergence) and instantiated individually
-  /// — the hook for locally perturbed ranks. Fault injection does not need
-  /// it: recovery is coordinated, so struck ranks stay in their class.
-  /// Out-of-range ids are ignored.
-  std::vector<std::int64_t> divergent_ranks;
 };
 
 /// One run's prediction. The recovery tallies (faults, rollbacks,

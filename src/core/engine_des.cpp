@@ -466,16 +466,10 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   // Fault schedule: pre-materialized from per-node splittable streams (or
   // taken verbatim from a replay trace), so it is a pure function of the
   // seed — independent of thread count and event interleaving. The node
-  // universe matches the coarse engine: the FTI run configuration when it
-  // divides the rank count, else physical packing.
+  // universe is the coarse engine's (ArchBEO::fault_nodes).
   std::vector<ft::FaultEvent> schedule;
   if (options.inject_faults) {
-    const std::int64_t fault_rpn =
-        (arch.fti().node_size > 0 && app.ranks() % arch.fti().node_size == 0)
-            ? arch.fti().node_size
-            : arch.ranks_per_node();
-    const std::int64_t fault_nodes =
-        (app.ranks() + fault_rpn - 1) / fault_rpn;
+    const std::int64_t fault_nodes = arch.fault_nodes(app.ranks());
     if (!options.fault_trace.empty()) {
       schedule = options.fault_trace;
       inject::validate_schedule(schedule, fault_nodes);
@@ -510,17 +504,11 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
       throw std::invalid_argument(
           "use_des_network requires a TwoStageFatTree or Torus topology");
     }
-    // Ranks pack by the FTI run configuration when it divides evenly
-    // (matching the coarse engine's node universe), else physically.
-    const std::int64_t rpn =
-        (arch.fti().node_size > 0 &&
-         app.ranks() % arch.fti().node_size == 0)
-            ? arch.fti().node_size
-            : arch.ranks_per_node();
-    const std::int64_t nodes_needed = (app.ranks() + rpn - 1) / rpn;
+    // Ranks pack onto the fault node universe (ArchBEO::fault_nodes).
+    const std::int64_t nodes_needed = arch.fault_nodes(app.ranks());
     if (nodes_needed > network->num_nodes())
       throw std::invalid_argument("too many ranks for the DES network");
-    coord->set_network(network.get(), rpn);
+    coord->set_network(network.get(), arch.ranks_per_fault_node(app.ranks()));
     // Every delivery notifies the coordinator at its arrival time.
     for (net::NodeId n = 0; n < nodes_needed; ++n)
       network->on_delivery(
@@ -539,30 +527,18 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   // every rank its own RNG stream and the executed network substrate gives
   // every rank its own physical position; both break the symmetry, so the
   // specs are marked non-foldable there (each rank stays a singleton
-  // class). divergent_ranks breaks individual ranks out instead of
-  // disabling the whole class (clone-on-divergence).
+  // class).
   //
   // Fault injection folds like a clean run: recovery is coordinated (every
   // rank rolls back to the same checkpoint at the same instant, the Fig. 3
   // semantics), so struck ranks never diverge from their class.
   const bool fold = options.fold_symmetry && !options.monte_carlo &&
                     !options.use_des_network;
-  sim::FoldPlan plan;
-  {
-    std::vector<sim::FoldSpec> specs(static_cast<std::size_t>(app.ranks()));
-    const std::uint64_t behavior = app.plan_digest();
-    const std::uint64_t config = arch.fold_config_digest();
-    for (auto& spec : specs) {
-      spec.signature.type = "rank";
-      spec.signature.behavior_digest = behavior;
-      spec.signature.config_digest = config;
-      spec.signature.foldable = fold;
-    }
-    plan = sim::plan_folds(specs);
-    for (std::int64_t r : options.divergent_ranks)
-      if (r >= 0 && r < app.ranks())
-        plan.break_out(static_cast<std::size_t>(r));
-  }
+  sim::FoldSpec rank_spec;
+  rank_spec.signature = {"rank", app.plan_digest(), arch.fold_config_digest(),
+                         fold};
+  const sim::FoldPlan plan = sim::plan_folds(std::vector<sim::FoldSpec>(
+      static_cast<std::size_t>(app.ranks()), rank_spec));
 
   std::vector<RankComponent*> ranks;
   std::vector<sim::ComponentId> rank_ids;

@@ -1,11 +1,10 @@
 #include "sim/component.hpp"
 
-#include "sim/detail/tls.hpp"
 #include "sim/simulation.hpp"
 
 namespace ftbesst::sim {
 
-SimTime Component::now() const noexcept { return detail::t_current_time; }
+SimTime Component::now() const noexcept { return sim_->now(); }
 
 void Component::schedule_self(SimTime delay, std::unique_ptr<Payload> payload,
                               PortId port, std::int32_t priority) {

@@ -3,8 +3,8 @@
 //
 // A component owns no threads and touches no global state; it reacts to
 // events delivered by the Simulation and may schedule new events through the
-// protected helpers. This discipline is what makes conservative parallel
-// execution safe: a component only ever mutates itself.
+// protected helpers. A component only ever mutates itself, so a simulation
+// is a pure function of its components and their initial events.
 
 #include <cstdint>
 #include <map>
@@ -27,10 +27,6 @@ class Component {
 
   [[nodiscard]] ComponentId id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  /// Partition this component executes in under parallel simulation.
-  [[nodiscard]] std::uint32_t partition() const noexcept { return partition_; }
-  void set_partition(std::uint32_t p) noexcept { partition_ = p; }
-
   /// Number of identical model entities this component stands for under
   /// symmetry folding (sim/fold.hpp). 1 for ordinary components; a fold
   /// representative carries its group's size and aggregate_counters() scales
@@ -53,8 +49,7 @@ class Component {
 
   /// SST-style named statistics: free-form counters a component bumps while
   /// simulating (messages forwarded, bytes moved, cache hits...). Counters
-  /// are component-local (no synchronization needed under the partition
-  /// discipline) and aggregated across the simulation via
+  /// are component-local and aggregated across the simulation via
   /// Simulation::aggregate_counters().
   [[nodiscard]] const std::map<std::string, std::uint64_t>& counters()
       const noexcept {
@@ -77,9 +72,7 @@ class Component {
             SimTime extra_delay = 0, std::int32_t priority = 0);
 
   /// Direct cross-component scheduling (used by tightly-coupled subsystems
-  /// that are not modeling a physical wire). Delay must respect the
-  /// partition lookahead when crossing partitions in parallel runs; the
-  /// Simulation enforces this.
+  /// that are not modeling a physical wire).
   void schedule_to(ComponentId dst, PortId port, SimTime delay,
                    std::unique_ptr<Payload> payload = nullptr,
                    std::int32_t priority = 0);
@@ -95,7 +88,6 @@ class Component {
   friend class Simulation;
   Simulation* sim_ = nullptr;
   ComponentId id_ = kNoComponent;
-  std::uint32_t partition_ = 0;
   std::uint64_t multiplicity_ = 1;
   std::string name_;
   std::map<std::string, std::uint64_t> counters_;

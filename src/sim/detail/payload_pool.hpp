@@ -6,11 +6,11 @@
 // are small and short-lived, so freed blocks are cached on a per-thread,
 // size-bucketed freelist and handed straight back to the next allocation.
 //
-// Thread safety: all freelist state is thread_local, so there is no
-// synchronization and no sharing — a block freed on thread B joins B's
-// freelist even if thread A allocated it (the bytes themselves were handed
-// across threads under the simulator's existing inbox locks/barriers).
-// Caches release their blocks to the heap when the thread exits.
+// Thread safety: all freelist state is thread_local, so Simulations running
+// at once on different pool threads share nothing and need no
+// synchronization — a block freed on thread B joins B's freelist even if
+// thread A allocated it. Caches release their blocks to the heap when the
+// thread exits.
 
 #include <cstddef>
 #include <cstdint>

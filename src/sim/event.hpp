@@ -1,5 +1,5 @@
 #pragma once
-// Events and payloads for the PDES kernel.
+// Events and payloads for the DES kernel.
 
 #include <cstdint>
 #include <memory>
@@ -52,8 +52,8 @@ template <typename T>
   return b ? &b->value : nullptr;
 }
 
-/// A scheduled event. Ordering is total and identical in serial and parallel
-/// execution: (time, priority, source component, per-source sequence).
+/// A scheduled event. Ordering is total: (time, priority, source component,
+/// per-source sequence), so a run never depends on insertion order.
 struct Event {
   SimTime time = 0;
   std::int32_t priority = 0;       ///< lower runs first at equal time

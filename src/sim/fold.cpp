@@ -49,20 +49,6 @@ std::uint64_t FoldPlan::multiplicity_of(std::size_t spec) const {
   return groups_[group_of(spec)].multiplicity();
 }
 
-void FoldPlan::break_out(std::size_t member) {
-  const std::size_t g = group_of(member);  // range-checks
-  FoldGroup& old_group = groups_[g];
-  if (old_group.members.size() == 1) return;  // already a singleton
-  old_group.members.erase(std::find(old_group.members.begin(),
-                                    old_group.members.end(), member));
-  old_group.representative = old_group.members.front();
-  FoldGroup fresh;
-  fresh.representative = member;
-  fresh.members = {member};
-  group_of_[member] = groups_.size();
-  groups_.push_back(std::move(fresh));
-}
-
 FoldPlan plan_folds(const std::vector<FoldSpec>& specs) {
   const std::size_t n = specs.size();
   for (const FoldSpec& spec : specs)

@@ -23,11 +23,8 @@
 // carrying the group's multiplicity (Component::set_multiplicity), and the
 // kernel scales counters back up at aggregation
 // (Simulation::aggregate_counters) so folded and unfolded runs report
-// identical statistics. Divergence discovered *after* planning — a local
-// perturbation that singles out one member of a class — is handled by
-// clone-on-divergence: FoldPlan::break_out splits the member into its own
-// singleton group before instantiation (see docs/ARCHITECTURE.md, "Scaling the DES
-// core", for the fold/no-fold rules each engine applies).
+// identical statistics (see docs/ARCHITECTURE.md, "Scaling the DES core",
+// for the fold/no-fold rules each engine applies).
 
 #include <cstdint>
 #include <string>
@@ -120,13 +117,6 @@ class FoldPlan {
   [[nodiscard]] std::size_t folded_away() const noexcept {
     return group_of_.size() - groups_.size();
   }
-
-  /// Clone-on-divergence: split `member` out of its current group into a
-  /// fresh singleton group (no-op if it is already a singleton). The old
-  /// group keeps the remaining members; if `member` was the representative
-  /// the next-lowest member takes over. Group indices of other groups are
-  /// preserved; the new singleton is appended.
-  void break_out(std::size_t member);
 
  private:
   friend FoldPlan plan_folds(const std::vector<FoldSpec>& specs);

@@ -1,27 +1,13 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
-#include <barrier>
-#include <map>
-#include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/obs.hpp"
-#include "sim/detail/tls.hpp"
-#include "util/log.hpp"
 
 namespace ftbesst::sim {
 
-namespace detail {
-thread_local SimTime t_current_time = 0;
-thread_local std::int64_t t_current_partition = -1;
-}  // namespace detail
-
 namespace {
-using detail::t_current_partition;
-using detail::t_current_time;
-
 SimTime saturating_add(SimTime a, SimTime b) noexcept {
   return (kNever - a < b) ? kNever : a + b;
 }
@@ -128,31 +114,7 @@ void Simulation::schedule(ComponentId src, ComponentId dst, PortId port,
   ev.dst = dst;
   ev.port = port;
   ev.payload = std::move(payload);
-
-  if (!parallel_mode_) {
-    queue_.push(std::move(ev));
-    return;
-  }
-  const std::uint32_t dst_part = component_partition_[dst];
-  if (t_current_partition == static_cast<std::int64_t>(dst_part)) {
-    partitions_[dst_part].queue.push(std::move(ev));
-    return;
-  }
-  if (t_current_partition >= 0) {
-    // Cross-partition from inside a round: must not undercut the
-    // destination's published bound, or the conservative execution would be
-    // incorrect (the destination may already have drained past ev.time).
-    if (ev.time < partitions_[dst_part].bound)
-      throw std::logic_error(
-          "cross-partition event violates lookahead (delay too small)");
-    partitions_[static_cast<std::size_t>(t_current_partition)]
-        .outbox[dst_part]
-        .push_back(std::move(ev));
-    return;
-  }
-  // Outside any round (init, or the coordinator between rounds): workers are
-  // quiescent, the destination queue is safe to touch directly.
-  partitions_[dst_part].queue.push(std::move(ev));
+  queue_.push(std::move(ev));
 }
 
 void Simulation::send_on_port(ComponentId src, PortId port,
@@ -168,14 +130,13 @@ void Simulation::send_on_port(ComponentId src, PortId port,
   const PortId dst_port =
       (link.a == src && link.port_a == port) ? link.port_b : link.port_a;
   const SimTime when =
-      saturating_add(t_current_time, saturating_add(link.latency, extra_delay));
+      saturating_add(now_, saturating_add(link.latency, extra_delay));
   schedule(src, dst, dst_port, when, std::move(payload), priority);
 }
 
 void Simulation::init_components() {
   if (initialized_) return;  // resuming a paused run must not re-init
   initialized_ = true;
-  t_current_time = 0;
   for (auto& c : components_) c->init();
 }
 
@@ -184,7 +145,7 @@ void Simulation::finish_components() {
 }
 
 void Simulation::dispatch(Event& ev, std::uint64_t& counter) {
-  t_current_time = ev.time;
+  now_ = ev.time;
   Component& dst = *components_[ev.dst];
   if (obs::enabled()) {
     const std::uint64_t t0 = obs::now_ns();
@@ -216,9 +177,7 @@ void Simulation::fold_obs_stats(const SimStats& stats) {
 SimStats Simulation::run(SimTime until) {
   SimStats stats;
   running_ = true;
-  stop_requested_.store(false, std::memory_order_relaxed);
-  parallel_mode_ = false;
-  t_current_partition = -1;
+  stop_requested_ = false;
   init_components();
   while (!queue_.empty() && !stop_requested()) {
     if (queue_.top().time > until) break;
@@ -227,239 +186,6 @@ SimStats Simulation::run(SimTime until) {
     Event ev = queue_.pop();
     dispatch(ev, stats.events_processed);
   }
-  now_ = std::min(t_current_time, until);
-  stats.end_time = now_;
-  running_ = false;
-  finish_components();
-  events_processed_ += stats.events_processed;
-  fold_obs_stats(stats);
-  return stats;
-}
-
-void Simulation::build_partition_topology(std::uint32_t num_parts) {
-  component_partition_.resize(components_.size());
-  for (ComponentId c = 0; c < components_.size(); ++c)
-    component_partition_[c] = components_[c]->partition();
-
-  global_min_la_ = kNever;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, SimTime> pair_la;
-  for (const Link& link : links_) {
-    const std::uint32_t pa = component_partition_[link.a];
-    const std::uint32_t pb = component_partition_[link.b];
-    if (pa == pb) continue;
-    global_min_la_ = std::min(global_min_la_, link.latency);
-    auto relax = [&](std::uint32_t from, std::uint32_t to) {
-      auto [it, fresh] = pair_la.try_emplace({from, to}, link.latency);
-      if (!fresh) it->second = std::min(it->second, link.latency);
-    };
-    relax(pa, pb);
-    relax(pb, pa);
-  }
-  peer_links_.assign(num_parts, {});
-  for (const auto& [pair, la] : pair_la)
-    peer_links_[pair.first].emplace_back(pair.second, la);
-}
-
-void Simulation::auto_partition(std::uint32_t parts) {
-  // Union components joined by zero-latency links; such pairs must share a
-  // partition because they provide no lookahead.
-  std::vector<std::uint32_t> root(components_.size());
-  std::iota(root.begin(), root.end(), 0u);
-  auto find = [&](std::uint32_t x) {
-    while (root[x] != x) x = root[x] = root[root[x]];
-    return x;
-  };
-  for (const Link& link : links_)
-    if (link.latency == 0) root[find(link.a)] = find(link.b);
-
-  std::vector<std::int64_t> group_part(components_.size(), -1);
-  std::uint32_t next = 0;
-  for (ComponentId c = 0; c < components_.size(); ++c) {
-    const std::uint32_t g = find(c);
-    if (group_part[g] < 0) group_part[g] = next++ % parts;
-    components_[c]->set_partition(static_cast<std::uint32_t>(group_part[g]));
-  }
-}
-
-SimStats Simulation::run_parallel(unsigned num_threads, SimTime until) {
-  if (num_threads <= 1) return run(until);
-
-  const bool user_partitioned = std::any_of(
-      components_.begin(), components_.end(),
-      [](const auto& c) { return c->partition() != 0; });
-  if (!user_partitioned) auto_partition(num_threads);
-
-  std::uint32_t num_parts = 0;
-  for (const auto& c : components_)
-    num_parts = std::max(num_parts, c->partition() + 1);
-
-  build_partition_topology(num_parts);
-  // global_min_la_ is 0 exactly when a zero-latency link crosses partitions
-  // (kNever when no link crosses at all, which is fine: independent
-  // partitions drain without any bound).
-  if (global_min_la_ == 0) {
-    FTBESST_WARN << "zero cross-partition lookahead; falling back to serial";
-    return run(until);
-  }
-
-  SimStats stats;
-  running_ = true;
-  stop_requested_.store(false, std::memory_order_relaxed);
-  parallel_mode_ = true;
-  partitions_.clear();
-  partitions_.resize(num_parts);
-  for (auto& part : partitions_) part.outbox.resize(num_parts);
-
-  init_components();
-  // Distribute any events injected before run (from init() or externally)
-  // out of the serial queue into the partition queues.
-  while (!queue_.empty()) {
-    Event ev = queue_.pop();
-    partitions_[component_partition_[ev.dst]].queue.push(std::move(ev));
-  }
-
-  // Round state shared coordinator <-> workers; every field below is written
-  // by the coordinator between rounds and read by workers inside a round,
-  // with the barrier providing the synchronization both ways.
-  bool done = false;
-  std::vector<std::uint32_t> active;
-  std::atomic<std::size_t> cursor{0};
-  std::barrier round_barrier(static_cast<std::ptrdiff_t>(num_threads));
-
-  auto drain_partition = [&](std::uint32_t part) {
-    Partition& mine = partitions_[part];
-    t_current_partition = static_cast<std::int64_t>(part);
-    const SimTime bound = mine.bound;
-    while (!mine.queue.empty()) {
-      const SimTime top = mine.queue.top().time;
-      if (top >= bound || top > until) break;
-      mine.heap_high_water =
-          std::max<std::uint64_t>(mine.heap_high_water, mine.queue.size());
-      Event ev = mine.queue.pop();
-      dispatch(ev, mine.events_processed);
-    }
-    t_current_partition = -1;
-  };
-
-  // Workers (and the coordinator, which helps) claim active partitions from
-  // the shared cursor; each partition is drained by exactly one thread.
-  auto work_round = [&]() {
-    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < active.size();
-         i = cursor.fetch_add(1, std::memory_order_relaxed))
-      drain_partition(active[i]);
-  };
-  auto worker = [&]() {
-    for (;;) {
-      round_barrier.arrive_and_wait();  // round published by coordinator
-      if (done) return;
-      work_round();
-      round_barrier.arrive_and_wait();  // round complete
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (unsigned t = 1; t < num_threads; ++t) threads.emplace_back(worker);
-
-  // Scratch reused across rounds.
-  std::vector<SimTime> next(num_parts, kNever);
-  std::vector<SimTime> eot(num_parts, kNever);
-  std::vector<char> settled(num_parts, 0);
-  SimTime last_time = 0;
-  for (;;) {
-    // Batched cross-partition merge. Workers are quiescent between rounds,
-    // so outboxes move into destination queues without locks.
-    for (auto& from : partitions_)
-      for (std::uint32_t q = 0; q < num_parts; ++q) {
-        for (Event& ev : from.outbox[q]) partitions_[q].queue.push(std::move(ev));
-        from.outbox[q].clear();
-      }
-
-    SimTime global_next = kNever;
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      next[p] =
-          partitions_[p].queue.empty() ? kNever : partitions_[p].queue.top().time;
-      global_next = std::min(global_next, next[p]);
-    }
-    if (global_next == kNever || global_next > until || stop_requested()) {
-      done = true;
-      round_barrier.arrive_and_wait();
-      break;
-    }
-    last_time = std::min(global_next, until);
-
-    // Earliest-output-time fixed point (the CMB null-message bound): eot[q]
-    // lower-bounds the time of anything partition q could ever execute or
-    // emit from now on, accounting for transitive feedback through other
-    // partitions. Settle partitions in eot order (Dijkstra over the
-    // partition graph; sources are the queue heads, edges are the per-pair
-    // minimum link latencies, plus an implicit complete graph at
-    // global_min_la_ that keeps link-less schedule_to deliveries safe).
-    std::copy(next.begin(), next.end(), eot.begin());
-    std::fill(settled.begin(), settled.end(), 0);
-    for (std::uint32_t iter = 0; iter < num_parts; ++iter) {
-      std::uint32_t u = num_parts;
-      SimTime best = kNever;
-      for (std::uint32_t p = 0; p < num_parts; ++p)
-        if (!settled[p] && eot[p] < best) {
-          best = eot[p];
-          u = p;
-        }
-      if (u == num_parts) break;  // everything left is at kNever
-      settled[u] = 1;
-      const SimTime via_floor = saturating_add(best, global_min_la_);
-      for (std::uint32_t p = 0; p < num_parts; ++p)
-        if (!settled[p]) eot[p] = std::min(eot[p], via_floor);
-      for (const auto& [q, la] : peer_links_[u])
-        if (!settled[q]) eot[q] = std::min(eot[q], saturating_add(best, la));
-    }
-
-    // Per-partition bound = earliest possible future arrival from any other
-    // partition. The floor term uses the two smallest eot values so that
-    // min over q != p is O(1) per partition.
-    SimTime min1 = kNever, min2 = kNever;
-    std::uint32_t argmin = 0;
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      if (eot[p] < min1) {
-        min2 = min1;
-        min1 = eot[p];
-        argmin = p;
-      } else {
-        min2 = std::min(min2, eot[p]);
-      }
-    }
-    active.clear();
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      const SimTime others = (p == argmin) ? min2 : min1;
-      SimTime bound = saturating_add(others, global_min_la_);
-      for (const auto& [q, la] : peer_links_[p])
-        bound = std::min(bound, saturating_add(eot[q], la));
-      partitions_[p].bound = bound;
-      // Selective wake: only partitions with work inside their bound (and
-      // the horizon) join this round.
-      if (next[p] < bound && next[p] <= until) active.push_back(p);
-    }
-    cursor.store(0, std::memory_order_relaxed);
-    ++stats.windows;
-    round_barrier.arrive_and_wait();  // publish round
-    work_round();                     // coordinator helps drain
-    round_barrier.arrive_and_wait();  // round complete
-  }
-  for (auto& t : threads) t.join();
-
-  for (auto& part : partitions_) {
-    stats.events_processed += part.events_processed;
-    stats.heap_high_water =
-        std::max(stats.heap_high_water, part.heap_high_water);
-    // Return undrained events to the serial queue so a later run() resumes.
-    // (Outboxes are empty here: the merge at the top of the final round ran
-    // before the termination check.)
-    while (!part.queue.empty()) queue_.push(part.queue.pop());
-  }
-  partitions_.clear();
-  parallel_mode_ = false;
-  now_ = std::min(last_time, until);
   stats.end_time = now_;
   running_ = false;
   finish_components();

@@ -1,26 +1,12 @@
 #pragma once
-// The simulation kernel: component registry, links, event queues, and both
-// serial and conservative-parallel execution engines.
-//
-// Parallel model (conservative, incremental rounds): components are assigned
-// to partitions; each partition owns a private event queue. Execution
-// proceeds in rounds. Between rounds a coordinator computes, per partition,
-// a conservative *bound* — the earliest time any event could still arrive
-// from another partition — from the CMB-style earliest-output-time fixed
-// point over the partition graph: per-partition-pair lookahead is the
-// minimum latency of the links joining that pair, and the minimum
-// cross-partition link latency overall is a floor that keeps direct
-// schedule_to deliveries (which ride no link) safe. Only partitions whose
-// next event falls below their bound wake in a round ("selective wake");
-// workers claim active partitions from a shared cursor and drain them
-// independently. Events bound for another partition are appended to
-// lock-free per-destination outboxes and batch-merged by the coordinator
-// between rounds, while workers are quiescent at the barrier. Event
-// ordering keys are identical in serial and parallel mode and form a strict
-// total order, so both engines — and any thread count — produce
-// bit-identical simulations.
+// The simulation kernel: component registry, links, the event queue and the
+// serial execution engine. Events run in a strict total order — (time,
+// priority, source component, per-source sequence) — so a simulation is a
+// pure function of its model: any number of Simulations may run at once on
+// different threads (util::TaskPool spreads trials and cells that way) and
+// each reproduces bit-identically. Each Simulation owns its queue and its
+// clock; the only per-thread state is the payload freelist.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,11 +45,10 @@ using CounterTotals = std::vector<std::pair<std::string, std::uint64_t>>;
 /// Aggregate run statistics.
 struct SimStats {
   std::uint64_t events_processed = 0;
-  std::uint64_t windows = 0;  ///< parallel synchronization rounds (0 serial)
-  /// Deepest event queue observed during the run (max over partition queues
-  /// in parallel mode) — the working-set measure the DES heap is sized by.
+  /// Deepest event queue observed during the run — the working-set measure
+  /// the DES heap is sized by.
   std::uint64_t heap_high_water = 0;
-  SimTime end_time = 0;
+  SimTime end_time = 0;  ///< Simulation::now() when the run stopped
 };
 
 class Simulation {
@@ -83,8 +68,7 @@ class Simulation {
   }
 
   /// Connect two component ports with a link of the given latency.
-  /// Latency 0 is allowed but forces those components into one partition
-  /// for parallel execution.
+  /// Latency 0 is allowed.
   void connect(ComponentId a, PortId port_a, ComponentId b, PortId port_b,
                SimTime latency);
 
@@ -95,7 +79,7 @@ class Simulation {
 
   /// Sum of every component's named counters (SST-style statistics
   /// aggregation), each scaled by the component's fold multiplicity. Call
-  /// after run() / run_parallel().
+  /// after run().
   [[nodiscard]] CounterTotals aggregate_counters() const;
 
   /// Total events dispatched over this simulation's lifetime (all runs).
@@ -103,24 +87,19 @@ class Simulation {
     return events_processed_;
   }
 
-  /// Run serially until the event queue drains or `until` is reached.
+  /// Run until the event queue drains or the next event lies beyond
+  /// `until`. Events later than `until` stay queued; a later run() resumes
+  /// from them.
   SimStats run(SimTime until = kNever);
 
-  /// Run with `num_threads` worker threads using conservative incremental
-  /// rounds. With num_threads <= 1 this is exactly run(). External event
-  /// injection (Simulation::schedule from a thread outside the engine) is
-  /// only supported while no parallel run is in flight.
-  SimStats run_parallel(unsigned num_threads, SimTime until = kNever);
-
+  /// The simulation clock: the timestamp of the event being (or last)
+  /// dispatched, 0 before the first one.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Request an early stop: the engine finishes the current event (serial)
-  /// or round (parallel) and halts.
-  void request_stop() noexcept {
-    stop_requested_.store(true, std::memory_order_relaxed);
-  }
+  /// Request an early stop: the engine finishes the current event and halts.
+  void request_stop() noexcept { stop_requested_ = true; }
   [[nodiscard]] bool stop_requested() const noexcept {
-    return stop_requested_.load(std::memory_order_relaxed);
+    return stop_requested_;
   }
 
   // -- scheduling interface (used by Component helpers; public so that test
@@ -131,24 +110,6 @@ class Simulation {
                     std::unique_ptr<Payload> payload, std::int32_t priority);
 
  private:
-  /// Per-partition execution state. Cache-line aligned and stored by value
-  /// (flat vector) so the coordinator's per-round scans stream through
-  /// memory instead of chasing pointers.
-  struct alignas(64) Partition {
-    EventHeap queue;
-    /// Cross-partition events produced this round, one vector per
-    /// destination partition. Only the single worker that claimed this
-    /// partition appends during a round; the coordinator merges between
-    /// rounds while workers sit at the barrier — no locks anywhere.
-    std::vector<std::vector<Event>> outbox;
-    /// Published by the coordinator each round: no event below this time can
-    /// still arrive from another partition, so draining strictly below it is
-    /// safe. Also the reference for the cross-partition delivery check.
-    SimTime bound = 0;
-    std::uint64_t events_processed = 0;
-    std::uint64_t heap_high_water = 0;
-  };
-
   void register_component(std::unique_ptr<Component> component);
   void init_components();
   void finish_components();
@@ -156,15 +117,6 @@ class Simulation {
   /// Fold run totals and per-component busy time into the obs registry
   /// (no-op while obs is disabled); clears the per-component accumulators.
   void fold_obs_stats(const SimStats& stats);
-  /// Build the flat component->partition map, the symmetric per-pair
-  /// minimum-latency adjacency (peer_links_) and the global cross-partition
-  /// minimum (global_min_la_: 0 iff some zero-latency link crosses
-  /// partitions — parallel unsafe; kNever iff no link crosses at all).
-  void build_partition_topology(std::uint32_t num_parts);
-  /// Assign partitions automatically if the user did not: components
-  /// connected by zero-latency links are grouped, groups are distributed
-  /// round-robin over `parts` partitions.
-  void auto_partition(std::uint32_t parts);
 
   std::vector<std::unique_ptr<Component>> components_;
   std::vector<Link> links_;
@@ -172,19 +124,11 @@ class Simulation {
   std::vector<std::vector<std::int64_t>> port_links_;
   std::vector<std::uint64_t> src_seq_;  // per-component schedule counter
 
-  EventHeap queue_;  // serial engine queue
-  std::vector<Partition> partitions_;
-  /// Flat copy of each component's partition, rebuilt per parallel run; the
-  /// schedule() hot path indexes it instead of dereferencing the component.
-  std::vector<std::uint32_t> component_partition_;
-  /// peer_links_[p] = (q, min latency of links between p and q), symmetric.
-  std::vector<std::vector<std::pair<std::uint32_t, SimTime>>> peer_links_;
-  SimTime global_min_la_ = kNever;
-  bool parallel_mode_ = false;
-  SimTime now_ = 0;
+  EventHeap queue_;
+  SimTime now_ = 0;  ///< set by dispatch(); read by Component::now()
   bool initialized_ = false;
   bool running_ = false;
-  std::atomic<bool> stop_requested_ = false;
+  bool stop_requested_ = false;
   std::uint64_t events_processed_ = 0;
 };
 

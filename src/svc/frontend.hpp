@@ -21,9 +21,9 @@
 // through a SingleFlight; every other op (`sleep`, plus `warm` or
 // `rolling_restart`) goes to the backend. Two backends exist:
 //
-//   Server  local: ResultCache + Registry, jobs on the shared
-//           util::TaskPool, so a DSE request composes with its own
-//           nested trials instead of oversubscribing the machine.
+//   Server  local: ResultCache + Registry, jobs on a pool of their own,
+//           apart from the shared util::TaskPool the engines' trials run
+//           on (see server.hpp for why the two must not mix).
 //   Router  ring: consistent-hash ring over worker processes (each one a
 //           Server on a unix socket), jobs on proxy threads that block on
 //           worker IO; supervision, respawn and journal re-warm.

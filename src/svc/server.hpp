@@ -6,9 +6,12 @@
 //     -> [single-flight compute via handle_request] -> reply
 //
 // One reader thread owns every socket read. Admitted requests become tasks
-// on the shared util::TaskPool — the same pool the engines fan trials onto,
-// so a request that runs a DSE sweep composes with its own nested
-// parallelism instead of oversubscribing the machine. The result cache
+// on the server's own job pool; the engines fan their trials onto the
+// shared util::TaskPool. The two must stay apart: a computing request
+// helps the shared pool while it waits on its trials, and if request jobs
+// sat on that pool it could pick up a duplicate of its own request, which
+// then waits on the SingleFlight result that only the thread's own
+// unfinished computation can deliver — a deadlock. The result cache
 // stores the serialized result payload itself, so the result bytes of a
 // cache hit are byte-identical to the cold computation's.
 //
@@ -82,7 +85,8 @@ class Server final : private Backend, public Frontend {
   std::shared_ptr<const Registry> registry_;
   std::string name_;
   ResultCache cache_;
-  util::TaskGroup tasks_;
+  util::TaskPool jobs_;  // request jobs only; sized like the shared pool
+  util::TaskGroup tasks_{jobs_};
 };
 
 }  // namespace ftbesst::svc

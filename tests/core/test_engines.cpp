@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/arch.hpp"
 #include "core/beo.hpp"
@@ -118,6 +120,43 @@ TEST(EngineErrors, InvalidArgumentsWinOverUnboundKernel) {
   campaign.engine.use_des_network = true;
   EXPECT_THROW((void)inject::run_campaign(app, arch, campaign),
                std::invalid_argument);
+}
+
+// A malformed replay trace is rejected up front by every entry point of
+// both engines, through the same validation (inject::validate_schedule).
+TEST(EngineErrors, MalformedReplayTraceIsInvalidEverywhere) {
+  ArchBEO arch = make_arch();  // 8 nodes; FTI node_size 2
+  arch.bind_kernel("work", std::make_shared<model::ConstantModel>(1.0));
+  arch.bind_kernel("ckpt_l1", std::make_shared<model::ConstantModel>(1.0));
+  const AppBEO app = make_app(4, 2, /*ranks=*/8);  // 4 fault nodes
+  auto strike = [](double time, std::int64_t node) {
+    ft::FaultEvent ev;
+    ev.time = time;
+    ev.node = node;
+    return ev;
+  };
+  // The out-of-range node strikes after the first checkpoint, so a run
+  // that skipped validation would reach recovery with it.
+  const std::vector<std::pair<const char*, ft::FaultEvent>> traces = {
+      {"NaN time", strike(std::nan(""), 0)},
+      {"negative time", strike(-5.0, 0)},
+      {"node out of range", strike(3.5, 1000)}};
+  for (const auto& [what, ev] : traces) {
+    EngineOptions opt;
+    opt.inject_faults = true;
+    opt.fault_trace = {ev};
+    EXPECT_THROW((void)run_bsp(app, arch, opt), std::invalid_argument) << what;
+    EXPECT_THROW((void)run_des(app, arch, opt), std::invalid_argument) << what;
+    inject::CampaignOptions campaign;
+    campaign.trials = 2;
+    campaign.engine = opt;
+    for (bool use_des : {true, false}) {
+      campaign.use_des = use_des;
+      EXPECT_THROW((void)inject::run_campaign(app, arch, campaign),
+                   std::invalid_argument)
+          << what << ", use_des=" << use_des;
+    }
+  }
 }
 
 TEST(BspEngine, TooManyRanksThrows) {

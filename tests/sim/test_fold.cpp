@@ -121,24 +121,6 @@ TEST(FoldPlan, PeerIndexOutOfRangeThrows) {
   EXPECT_THROW((void)plan_folds(specs), std::invalid_argument);
 }
 
-TEST(FoldPlan, BreakOutClonesOnDivergence) {
-  FoldPlan plan = plan_folds(std::vector<FoldSpec>(5, rank_spec()));
-  ASSERT_EQ(plan.groups().size(), 1u);
-  plan.break_out(2);  // a divergence singles out member 2
-  ASSERT_EQ(plan.groups().size(), 2u);
-  EXPECT_EQ(plan.multiplicity_of(2), 1u);
-  EXPECT_TRUE(plan.is_representative(2));
-  EXPECT_EQ(plan.multiplicity_of(0), 4u);
-  EXPECT_EQ(plan.folded_away(), 3u);
-
-  plan.break_out(0);  // representative leaves: next-lowest takes over
-  ASSERT_EQ(plan.groups().size(), 3u);
-  EXPECT_EQ(plan.representative_of(1), 1u);
-  EXPECT_EQ(plan.multiplicity_of(1), 3u);  // {1, 3, 4} remain folded
-  plan.break_out(2);  // already a singleton: no-op
-  EXPECT_EQ(plan.groups().size(), 3u);
-}
-
 TEST(FoldDigest, DistinguishesBitPatterns) {
   EXPECT_NE(fold_digest_f64(kFoldDigestSeed, 0.0),
             fold_digest_f64(kFoldDigestSeed, -0.0));

@@ -51,8 +51,9 @@ TEST(PayloadPool, OversizedPayloadsBypassThePool) {
 }
 
 TEST(PayloadPool, CrossThreadFreeIsSafe) {
-  // Allocate on this thread, destroy on another (the cross-partition event
-  // path): the block simply joins the destroying thread's freelist.
+  // Allocate on this thread, destroy on another (a Simulation built on one
+  // thread and run or destroyed on another): the block simply joins the
+  // destroying thread's freelist.
   std::vector<std::unique_ptr<Payload>> batch;
   for (int i = 0; i < 256; ++i) batch.push_back(box<int>(i));
   std::thread consumer([&batch] {

@@ -1,61 +1,15 @@
-// Edge-case coverage for the PDES kernel beyond the core behaviour tests:
-// explicit user partitions, stop requests under parallel execution,
-// priority interaction with links, and payload ergonomics.
+// Edge-case coverage for the DES kernel beyond the core behaviour tests:
+// priority tie-breaks, payload ergonomics, and misuse errors.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "sim/simulation.hpp"
 
 namespace ftbesst::sim {
 namespace {
-
-class Counter final : public Component {
- public:
-  Counter(std::string name, int ticks, SimTime interval)
-      : Component(std::move(name)), ticks_(ticks), interval_(interval) {}
-  void init() override { schedule_self(interval_); }
-  void handle_event(PortId, std::unique_ptr<Payload>) override {
-    ++count;
-    if (count >= stop_at && stop_at > 0) simulation().request_stop();
-    if (count < ticks_) schedule_self(interval_);
-  }
-  int count = 0;
-  int stop_at = 0;
-
- private:
-  int ticks_;
-  SimTime interval_;
-};
-
-TEST(SimEdge, UserPartitionsAreRespected) {
-  Simulation sim;
-  auto* a = sim.add_component<Counter>("a", 100, SimTime{3});
-  auto* b = sim.add_component<Counter>("b", 100, SimTime{5});
-  a->set_partition(0);
-  b->set_partition(1);
-  sim.connect(a->id(), 1, b->id(), 1, SimTime{50});
-  const SimStats stats = sim.run_parallel(2);
-  EXPECT_EQ(a->count, 100);
-  EXPECT_EQ(b->count, 100);
-  EXPECT_GT(stats.windows, 0u);
-  // User assignment untouched by auto-partitioning.
-  EXPECT_EQ(a->partition(), 0u);
-  EXPECT_EQ(b->partition(), 1u);
-}
-
-TEST(SimEdge, StopRequestHaltsParallelRun) {
-  Simulation sim;
-  auto* a = sim.add_component<Counter>("a", 1000000, SimTime{1});
-  auto* b = sim.add_component<Counter>("b", 1000000, SimTime{1});
-  a->stop_at = 500;
-  sim.connect(a->id(), 1, b->id(), 1, SimTime{100});
-  sim.run_parallel(2);
-  EXPECT_LT(a->count, 1000000);
-  EXPECT_GE(a->count, 500);
-}
 
 TEST(SimEdge, PriorityBreaksSimultaneousLinkDeliveries) {
   class Sink final : public Component {
@@ -111,16 +65,6 @@ TEST(SimEdge, ScheduleToUnknownComponentThrows) {
   Simulation sim;
   EXPECT_THROW(sim.schedule(kNoComponent, 5, 0, SimTime{1}, nullptr),
                std::out_of_range);
-}
-
-TEST(SimEdge, ParallelRunWithNoEventsTerminates) {
-  Simulation sim;
-  auto* a = sim.add_component<Counter>("a", 0, SimTime{1});
-  auto* b = sim.add_component<Counter>("b", 0, SimTime{1});
-  sim.connect(a->id(), 1, b->id(), 1, SimTime{10});
-  // init schedules one event each; ticks_=0 means handle once and stop.
-  const SimStats stats = sim.run_parallel(2);
-  EXPECT_EQ(stats.events_processed, 2u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ftbesst::sim {
@@ -83,6 +84,42 @@ TEST(Simulation, RunUntilHorizonLeavesLaterEventsQueued) {
   // Resuming processes the rest.
   sim.run();
   EXPECT_EQ(recorder->log.size(), 10u);
+}
+
+// Each Simulation keeps its own clock: a run paused at a horizon reports
+// the same end time and now() whether or not another Simulation ran on the
+// same thread in between.
+TEST(Simulation, PausedRunClockIgnoresOtherSimulations) {
+  class Ticker final : public Component {
+   public:
+    Ticker(int ticks, SimTime interval)
+        : Component("ticker"), ticks_(ticks), interval_(interval) {}
+    void init() override { schedule_self(interval_); }
+    void handle_event(PortId, std::unique_ptr<Payload>) override {
+      if (++count_ < ticks_) schedule_self(interval_);
+    }
+
+   private:
+    int ticks_;
+    SimTime interval_;
+    int count_ = 0;
+  };
+  auto pause_twice = [](bool interleave) {
+    Simulation sim;
+    sim.add_component<Ticker>(3, SimTime{100});  // t = 100, 200, 300
+    sim.run(SimTime{150});
+    if (interleave) {
+      Simulation other;
+      other.add_component<Ticker>(1, SimTime{1000});
+      EXPECT_EQ(other.run().end_time, SimTime{1000});
+    }
+    const SimStats stats = sim.run(SimTime{150});
+    return std::pair{stats.end_time, sim.now()};
+  };
+  const auto alone = pause_twice(false);
+  EXPECT_EQ(alone.first, SimTime{100});
+  EXPECT_EQ(alone.second, SimTime{100});
+  EXPECT_EQ(pause_twice(true), alone);
 }
 
 TEST(Simulation, SamePortBidirectionalLink) {

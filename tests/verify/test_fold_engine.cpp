@@ -2,8 +2,7 @@
 // every deterministic scenario bitwise-identically to the unfolded engine
 // while processing strictly fewer PDES events; the Monte-Carlo and
 // DES-network paths must disable folding outright (per-rank RNG streams /
-// physical network positions); divergent_ranks must break single ranks out
-// of their class without perturbing predictions.
+// physical network positions).
 
 #include <gtest/gtest.h>
 
@@ -40,11 +39,9 @@ Scenario symmetric_scenario() {
   return s;
 }
 
-core::RunResult price(const Scenario& s, bool fold,
-                      std::vector<std::int64_t> divergent = {}) {
+core::RunResult price(const Scenario& s, bool fold) {
   BuiltScenario built = build(s);
   built.options.fold_symmetry = fold;
-  built.options.divergent_ranks = std::move(divergent);
   return core::run_des(built.app, built.arch, built.options);
 }
 
@@ -67,20 +64,6 @@ TEST(EngineFold, FoldedMatchesUnfoldedBitwiseWithFewerEvents) {
   // 16 identical ranks collapse to one representative.
   EXPECT_LT(folded.sim_events, unfolded.sim_events);
   EXPECT_GT(folded.sim_events, 0u);
-}
-
-TEST(EngineFold, DivergentRanksBreakOutWithoutChangingPredictions) {
-  const Scenario s = symmetric_scenario();
-  const core::RunResult folded = price(s, true);
-  const core::RunResult partial = price(s, true, {0, 5});
-  const core::RunResult unfolded = price(s, false);
-  expect_identical_predictions(partial, unfolded);
-  // Two clones rejoin the event population: strictly between the extremes.
-  EXPECT_GT(partial.sim_events, folded.sim_events);
-  EXPECT_LT(partial.sim_events, unfolded.sim_events);
-  // Out-of-range ids are ignored, not errors.
-  const core::RunResult ignored = price(s, true, {-3, 1 << 20});
-  EXPECT_EQ(ignored.sim_events, folded.sim_events);
 }
 
 TEST(EngineFold, MonteCarloDisablesFolding) {
