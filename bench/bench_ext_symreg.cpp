@@ -9,12 +9,15 @@
 //   - compiled: ExprProgram batch eval, column-wise over the dataset's
 //     SoA view, buffers reused, ResponseView scaling;
 //   - compiled+parallel: same, fanned out over the shared task pool.
+// It also times one full SymbolicRegressor::fit (default config) on the
+// LULESH dataset and reports that fit's evaluation and memo-hit counts
+// (report only, no gate).
 // Divergence gates (exit 1 on any failure): per-row compiled output must
 // be bit-identical to Expr::eval for every individual, serial and parallel
 // compiled fitness must be bit-identical to each other, and a full
-// SymbolicRegressor::fit with a 1-thread and an N-thread pool must produce
-// the same champion — the determinism contract of the calibration
-// pipeline.
+// SymbolicRegressor::fit on the main thread and inside a task of a
+// 1-worker and of the N-worker shared pool must produce the same champion
+// — the determinism contract of the calibration pipeline.
 
 #include <chrono>
 #include <cmath>
@@ -246,7 +249,7 @@ bool evaluators_bit_identical(const std::vector<model::Expr>& pop,
   for (const model::Expr& e : pop) {
     walk.clear();
     for (const model::Row& r : data.rows()) walk.push_back(e.eval(r.params));
-    model::ExprProgram::compile_into(e, prog);
+    model::ExprProgram::compile_into(model::Genome(e), prog);
     prog.eval_dataset(data, batch, scratch);
     if (walk.size() != batch.size() ||
         std::memcmp(walk.data(), batch.data(), walk.size() * sizeof(double)) !=
@@ -257,7 +260,7 @@ bool evaluators_bit_identical(const std::vector<model::Expr>& pop,
 }
 
 /// Compiled path, serial: one program per individual, buffers reused.
-std::vector<double> fitness_compiled(const std::vector<model::Expr>& pop,
+std::vector<double> fitness_compiled(const std::vector<model::Genome>& pop,
                                      const model::Dataset& data,
                                      const ResponseView& ry) {
   std::vector<double> fitness(pop.size());
@@ -274,7 +277,7 @@ std::vector<double> fitness_compiled(const std::vector<model::Expr>& pop,
 
 /// Compiled path fanned out over the shared pool, per-individual slots.
 std::vector<double> fitness_compiled_parallel(
-    const std::vector<model::Expr>& pop, const model::Dataset& data,
+    const std::vector<model::Genome>& pop, const model::Dataset& data,
     const ResponseView& ry) {
   std::vector<double> fitness(pop.size());
   util::parallel_for(pop.size(), [&](std::size_t p) {
@@ -305,36 +308,69 @@ DatasetBench bench_dataset(const model::Dataset& data,
                            const std::vector<model::Expr>& pop) {
   DatasetBench r;
   const ResponseView ry = make_response_view(data);
-  const auto compiled = fitness_compiled(pop, data, ry);
-  const auto parallel = fitness_compiled_parallel(pop, data, ry);
+  const std::vector<model::Genome> genomes(pop.begin(), pop.end());
+  const auto compiled = fitness_compiled(genomes, data, ry);
+  const auto parallel = fitness_compiled_parallel(genomes, data, ry);
   r.identical =
       evaluators_bit_identical(pop, data) && bitwise_equal(compiled, parallel);
   r.tree_walk_s = time_per_call([&] { fitness_tree_walk(pop, data); });
-  r.compiled_s = time_per_call([&] { fitness_compiled(pop, data, ry); });
+  r.compiled_s = time_per_call([&] { fitness_compiled(genomes, data, ry); });
   r.parallel_s =
-      time_per_call([&] { fitness_compiled_parallel(pop, data, ry); });
+      time_per_call([&] { fitness_compiled_parallel(genomes, data, ry); });
   return r;
 }
 
-/// Full fit with a 1-worker and an N-worker pool: champion must match.
+/// Full fit on the main thread, then inside a task of a 1-worker pool and
+/// of the shared pool at its natural width: every champion must match.
 bool fit_thread_invariant(const model::Dataset& data) {
-  util::Rng r1(5), r2(5);
-  const auto [tr1, te1] = data.split(0.8, r1);
-  const auto [tr2, te2] = data.split(0.8, r2);
+  util::Rng rng(5);
+  const auto [train, test] = data.split(0.8, rng);
   model::SymRegConfig cfg;
   cfg.population = 128;
   cfg.generations = 10;
   cfg.seed = 33;
+  const auto serial = model::SymbolicRegressor(cfg).fit(train, test);
+  bool same = serial.model != nullptr;
   util::TaskPool one(1);
-  cfg.pool = &one;
-  const auto serial = model::SymbolicRegressor(cfg).fit(tr1, te1);
-  cfg.pool = nullptr;  // shared pool at its natural width
-  const auto pooled = model::SymbolicRegressor(cfg).fit(tr2, te2);
-  return serial.model && pooled.model &&
-         serial.model->describe() == pooled.model->describe() &&
-         std::memcmp(&serial.train_mape, &pooled.train_mape, sizeof(double)) ==
-             0 &&
-         std::memcmp(&serial.test_mape, &pooled.test_mape, sizeof(double)) == 0;
+  for (util::TaskPool* pool : {&one, &util::TaskPool::shared()}) {
+    model::SymRegResult pooled;
+    util::TaskGroup group(*pool);
+    group.run([&] { pooled = model::SymbolicRegressor(cfg).fit(train, test); });
+    group.wait();
+    same = same && pooled.model &&
+           serial.model->describe() == pooled.model->describe() &&
+           std::memcmp(&serial.train_mape, &pooled.train_mape,
+                       sizeof(double)) == 0 &&
+           std::memcmp(&serial.test_mape, &pooled.test_mape, sizeof(double)) ==
+               0;
+  }
+  return same;
+}
+
+struct FitTiming {
+  double seconds = 0;
+  std::uint64_t evals = 0;
+  std::uint64_t memo_hits = 0;
+};
+
+/// Seconds per full fit (default config), and one fit's evaluation and
+/// memo-hit counts, read as counter deltas with obs switched on.
+FitTiming time_full_fit(const model::Dataset& data) {
+  util::Rng rng(5);
+  const auto [train, test] = data.split(0.8, rng);
+  const model::SymbolicRegressor regressor{model::SymRegConfig{}};
+  FitTiming t;
+  t.seconds = time_per_call([&] { (void)regressor.fit(train, test); });
+  const bool was_enabled = obs::enabled();
+  obs::enable(true);
+  const obs::MetricsSnapshot before = obs::scrape();
+  (void)regressor.fit(train, test);
+  const obs::MetricsSnapshot after = obs::scrape();
+  obs::enable(was_enabled);
+  t.evals = after.counter("symreg.evals") - before.counter("symreg.evals");
+  t.memo_hits =
+      after.counter("symreg.memo_hits") - before.counter("symreg.memo_hits");
+  return t;
 }
 
 void print_dataset(const char* name, const DatasetBench& b, bool last) {
@@ -363,6 +399,7 @@ int main() {
   const DatasetBench bl = bench_dataset(lulesh, pop_lulesh);
   const DatasetBench bf = bench_dataset(fti, pop_fti);
   const bool invariant = fit_thread_invariant(lulesh);
+  const FitTiming full_fit = time_full_fit(lulesh);
 
   std::cout.precision(6);
   std::cout << "{\n"
@@ -373,7 +410,10 @@ int main() {
             << "  \"fti_rows\": " << fti.num_rows() << ",\n";
   print_dataset("lulesh_timestep", bl, false);
   print_dataset("fti_checkpoint", bf, false);
-  std::cout << "  \"fit_champion_thread_invariant\": "
+  std::cout << "  \"fit_seconds_per_call\": " << full_fit.seconds << ",\n"
+            << "  \"fit_evals\": " << full_fit.evals << ",\n"
+            << "  \"fit_memo_hits\": " << full_fit.memo_hits << ",\n"
+            << "  \"fit_champion_thread_invariant\": "
             << (invariant ? "true" : "false") << ",\n"
             << "  \"obs_enabled\": " << (obs::enabled() ? "true" : "false");
   if (obs::enabled()) {

@@ -75,14 +75,14 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   if (app.ranks() > arch.max_ranks())
     throw std::invalid_argument(
         "application ranks exceed architecture capacity");
-  const bool replay = !options.fault_trace.empty();
+  const bool replay = options.fault_trace.has_value();
   if (options.inject_faults && !replay && !arch.fault_process())
     throw std::invalid_argument(
         "fault injection requested but ArchBEO has no fault process");
   // Node universe for faults/recoverability, shared with the DES engine.
   const std::int64_t nodes = arch.fault_nodes(app.ranks());
   if (options.inject_faults && replay)
-    inject::validate_schedule(options.fault_trace, nodes);
+    inject::validate_schedule(*options.fault_trace, nodes);
   priced.require_bound();
 
   const auto& program = app.program();
@@ -109,11 +109,10 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   auto next_fault = [&](double from) -> ft::FaultEvent {
     if (!replay)
       return arch.fault_process()->next_after(from, nodes, fault_rng);
-    while (trace_pos < options.fault_trace.size() &&
-           options.fault_trace[trace_pos].time < from)
+    const std::vector<ft::FaultEvent>& trace = *options.fault_trace;
+    while (trace_pos < trace.size() && trace[trace_pos].time < from)
       ++trace_pos;
-    if (trace_pos < options.fault_trace.size())
-      return options.fault_trace[trace_pos++];
+    if (trace_pos < trace.size()) return trace[trace_pos++];
     ft::FaultEvent none;
     none.time = inject::kNoFault;
     return none;

@@ -19,6 +19,7 @@
 // program against a sampled fault timeline with FTI-level-aware rollback.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,11 +48,12 @@ struct EngineOptions {
   /// Replay a RECORDED failure trace instead of sampling the fault process
   /// (times are absolute simulation seconds, time-ordered). Used to
   /// re-run an observed incident log (ftbesst faultlog / ft::fault_log)
-  /// against candidate checkpoint plans. When non-empty this takes
-  /// precedence over the fault process; inject_faults must still be set.
+  /// against candidate checkpoint plans. When set, this takes precedence
+  /// over the fault process — an empty trace replays a trial that saw no
+  /// faults, so the run is fault-free; inject_faults must still be set.
   /// Both engines reject a malformed trace (inject::validate_schedule over
   /// ArchBEO::fault_nodes) with std::invalid_argument.
-  std::vector<ft::FaultEvent> fault_trace;
+  std::optional<std::vector<ft::FaultEvent>> fault_trace;
   /// Downtime before recovery can begin after a failure (node reboot /
   /// replacement), seconds.
   double downtime_seconds = 60.0;

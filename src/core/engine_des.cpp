@@ -470,8 +470,8 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   std::vector<ft::FaultEvent> schedule;
   if (options.inject_faults) {
     const std::int64_t fault_nodes = arch.fault_nodes(app.ranks());
-    if (!options.fault_trace.empty()) {
-      schedule = options.fault_trace;
+    if (options.fault_trace) {
+      schedule = *options.fault_trace;
       inject::validate_schedule(schedule, fault_nodes);
     } else {
       const ft::FaultProcess* crashes =

@@ -1,6 +1,8 @@
 #include "model/expr.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ftbesst::model {
 
@@ -59,50 +62,30 @@ int depth_node(const ExprNode* n) {
   return 1 + std::max(depth_node(n->lhs.get()), depth_node(n->rhs.get()));
 }
 
-void collect(ExprNode* n, std::vector<ExprNode*>& out) {
-  if (!n) return;
-  out.push_back(n);
-  collect(n->lhs.get(), out);
-  collect(n->rhs.get(), out);
-}
-
 std::string str_node(const ExprNode* n, std::span<const std::string> names) {
   if (!n) return "0";
-  std::ostringstream os;
   switch (n->op) {
-    case Op::kConst:
+    case Op::kConst: {
+      std::ostringstream os;
       os << n->value;
-      break;
+      return os.str();
+    }
     case Op::kVar:
-      if (n->var < names.size())
-        os << names[n->var];
-      else
-        os << "x" << n->var;
-      break;
-    case Op::kAdd:
-      os << "(" << str_node(n->lhs.get(), names) << " + "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kSub:
-      os << "(" << str_node(n->lhs.get(), names) << " - "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kMul:
-      os << "(" << str_node(n->lhs.get(), names) << " * "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
-    case Op::kDiv:
-      os << "(" << str_node(n->lhs.get(), names) << " / "
-         << str_node(n->rhs.get(), names) << ")";
-      break;
+      return n->var < names.size() ? names[n->var]
+                                   : "x" + std::to_string(n->var);
     case Op::kLog:
-      os << "log1p|" << str_node(n->lhs.get(), names) << "|";
-      break;
+      return "log1p|" + str_node(n->lhs.get(), names) + "|";
     case Op::kSqrt:
-      os << "sqrt|" << str_node(n->lhs.get(), names) << "|";
-      break;
+      return "sqrt|" + str_node(n->lhs.get(), names) + "|";
+    default: {
+      const char* sym = n->op == Op::kAdd   ? " + "
+                        : n->op == Op::kSub ? " - "
+                        : n->op == Op::kMul ? " * "
+                                            : " / ";
+      return "(" + str_node(n->lhs.get(), names) + sym +
+             str_node(n->rhs.get(), names) + ")";
+    }
   }
-  return os.str();
 }
 
 /// Log-uniform constant in [1e-6, 100), signed positive (timing terms are
@@ -111,37 +94,65 @@ double random_constant(util::Rng& rng) {
   return std::pow(10.0, rng.uniform(-6.0, 2.0));
 }
 
-std::unique_ptr<ExprNode> random_node(util::Rng& rng, std::size_t num_vars,
-                                      int max_depth) {
-  auto node = std::make_unique<ExprNode>();
+/// Append a grow-method random subtree to `out` in preorder.
+void grow(util::Rng& rng, std::size_t num_vars, int max_depth,
+          std::vector<Gene>& out) {
+  Gene gene;
   const double roll = rng.uniform();
-  const bool terminal = max_depth <= 1 || roll < 0.25;
-  if (terminal) {
+  if (max_depth <= 1 || roll < 0.25) {  // terminal
     if (num_vars > 0 && rng.uniform() < 0.6) {
-      node->op = Op::kVar;
-      node->var = rng.uniform_int(num_vars);
+      gene.op = Op::kVar;
+      gene.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
     } else {
-      node->op = Op::kConst;
-      node->value = random_constant(rng);
+      gene.value = random_constant(rng);
     }
-    return node;
+    out.push_back(gene);
+    return;
   }
   if (roll < 0.40) {  // unary
-    node->op = rng.uniform() < 0.5 ? Op::kLog : Op::kSqrt;
-    node->lhs = random_node(rng, num_vars, max_depth - 1);
-    return node;
+    gene.op = rng.uniform() < 0.5 ? Op::kLog : Op::kSqrt;
+  } else {
+    // Bias toward multiplication — performance models are mostly products
+    // of powers of the parameters.
+    const double pick = rng.uniform();
+    gene.op = pick < 0.4   ? Op::kMul
+              : pick < 0.6 ? Op::kAdd
+              : pick < 0.8 ? Op::kDiv
+                           : Op::kSub;
   }
-  constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
-  // Bias toward multiplication — performance models are mostly products of
-  // powers of the parameters.
-  const double pick = rng.uniform();
-  node->op = pick < 0.4   ? Op::kMul
-             : pick < 0.6 ? Op::kAdd
-             : pick < 0.8 ? Op::kDiv
-                          : kBinary[1];
-  node->lhs = random_node(rng, num_vars, max_depth - 1);
-  node->rhs = random_node(rng, num_vars, max_depth - 1);
-  return node;
+  out.push_back(gene);
+  grow(rng, num_vars, max_depth - 1, out);
+  if (is_binary(gene.op)) grow(rng, num_vars, max_depth - 1, out);
+}
+
+void flatten(const ExprNode* n, std::vector<Gene>& out) {
+  if (!n) {  // a missing operand reads as (const 0), like to_sexpr()
+    out.emplace_back();
+    return;
+  }
+  if (n->op == Op::kVar && n->var > std::numeric_limits<std::uint16_t>::max())
+    throw std::length_error("variable index exceeds program limits");
+  out.push_back(Gene{n->op, static_cast<std::uint32_t>(n->var), n->value});
+  if (is_binary(n->op) || is_unary(n->op)) flatten(n->lhs.get(), out);
+  if (is_binary(n->op)) flatten(n->rhs.get(), out);
+}
+
+Expr build(std::span<const Gene> genes, std::size_t& pos) {
+  const Gene& gene = genes[pos++];
+  if (gene.op == Op::kConst) return Expr::constant(gene.value);
+  if (gene.op == Op::kVar) return Expr::variable(gene.var);
+  Expr lhs = build(genes, pos);
+  if (is_unary(gene.op)) return Expr::unary(gene.op, std::move(lhs));
+  Expr rhs = build(genes, pos);
+  return Expr::binary(gene.op, std::move(lhs), std::move(rhs));
+}
+
+int depth_at(std::span<const Gene> genes, std::size_t& pos) {
+  const Op op = genes[pos++].op;
+  int below = 0;
+  if (is_binary(op) || is_unary(op)) below = depth_at(genes, pos);
+  if (is_binary(op)) below = std::max(below, depth_at(genes, pos));
+  return 1 + below;
 }
 
 }  // namespace
@@ -176,56 +187,101 @@ Expr Expr::unary(Op op, Expr operand) {
 }
 
 Expr Expr::random(util::Rng& rng, std::size_t num_vars, int max_depth) {
-  return Expr(random_node(rng, num_vars, std::max(1, max_depth)));
+  return Genome::random(rng, num_vars, max_depth).to_expr();
 }
 
-Expr Expr::crossover(const Expr& a, const Expr& b, util::Rng& rng,
-                     std::size_t max_nodes) {
-  if (a.empty() || b.empty()) return a.clone();
-  Expr child = a.clone();
-  std::vector<ExprNode*> sites;
-  collect(child.root_.get(), sites);
-  std::vector<ExprNode*> donors;
-  // collect() wants mutable pointers; the donor tree is only read (cloned).
-  collect(const_cast<ExprNode*>(b.root_.get()), donors);
-  ExprNode* site = sites[rng.uniform_int(sites.size())];
-  const ExprNode* donor = donors[rng.uniform_int(donors.size())];
-  auto grafted = clone_node(donor);
-  // Replace the site's contents in place.
-  *site = std::move(*grafted);
-  if (child.size() > max_nodes) return a.clone();
+Genome::Genome(const Expr& expr) {
+  if (!expr.empty()) flatten(expr.root(), genes_);
+}
+
+Genome Genome::random(util::Rng& rng, std::size_t num_vars, int max_depth) {
+  Genome g;
+  grow(rng, num_vars, std::max(1, max_depth), g.genes_);
+  return g;
+}
+
+std::size_t Genome::subtree_end(std::size_t i) const noexcept {
+  std::size_t open = 1;  // subtrees begun but not yet read
+  while (open > 0) {
+    const Op op = genes_[i++].op;
+    open = open - 1 + (is_binary(op) ? 2 : is_unary(op) ? 1 : 0);
+  }
+  return i;
+}
+
+Genome Genome::crossover(const Genome& a, const Genome& b, util::Rng& rng,
+                         std::size_t max_nodes) {
+  if (a.empty() || b.empty()) return a;
+  const std::size_t site = rng.uniform_int(a.size());
+  const std::size_t donor = rng.uniform_int(b.size());
+  const std::size_t site_end = a.subtree_end(site);
+  const std::size_t donor_end = b.subtree_end(donor);
+  if (a.size() - (site_end - site) + (donor_end - donor) > max_nodes) return a;
+  Genome child;
+  std::vector<Gene>& out = child.genes_;
+  out.reserve(a.size() - (site_end - site) + (donor_end - donor));
+  out.insert(out.end(), a.genes_.begin(), a.genes_.begin() + site);
+  out.insert(out.end(), b.genes_.begin() + donor, b.genes_.begin() + donor_end);
+  out.insert(out.end(), a.genes_.begin() + site_end, a.genes_.end());
   return child;
 }
 
-Expr Expr::mutate(const Expr& e, util::Rng& rng, std::size_t num_vars,
-                  int max_depth, std::size_t max_nodes) {
-  if (e.empty()) return Expr::random(rng, num_vars, max_depth);
-  Expr out = e.clone();
-  std::vector<ExprNode*> sites;
-  collect(out.root_.get(), sites);
-  ExprNode* site = sites[rng.uniform_int(sites.size())];
+Genome Genome::mutate(const Genome& g, util::Rng& rng, std::size_t num_vars,
+                      int max_depth, std::size_t max_nodes) {
+  if (g.empty()) return random(rng, num_vars, max_depth);
+  Genome out = g;
+  const std::size_t i = rng.uniform_int(g.size());
+  Gene& site = out.genes_[i];
   const double roll = rng.uniform();
-  if (site->op == Op::kConst && roll < 0.6) {
+  if (site.op == Op::kConst && roll < 0.6) {
     // Jitter the constant multiplicatively (and occasionally re-draw).
-    site->value = rng.uniform() < 0.15
-                      ? random_constant(rng)
-                      : site->value * std::exp(rng.normal(0.0, 0.3));
+    site.value = rng.uniform() < 0.15
+                     ? random_constant(rng)
+                     : site.value * std::exp(rng.normal(0.0, 0.3));
   } else if (roll < 0.5) {
     // Regrow the subtree.
-    auto fresh = random_node(rng, num_vars, std::max(1, max_depth - 1));
-    *site = std::move(*fresh);
-  } else if (is_binary(site->op)) {
+    std::vector<Gene> fresh;
+    grow(rng, num_vars, std::max(1, max_depth - 1), fresh);
+    const auto first = out.genes_.begin() + static_cast<std::ptrdiff_t>(i);
+    const auto last = out.genes_.begin() +
+                      static_cast<std::ptrdiff_t>(g.subtree_end(i));
+    out.genes_.insert(out.genes_.erase(first, last), fresh.begin(),
+                      fresh.end());
+  } else if (is_binary(site.op)) {
     constexpr Op kBinary[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv};
-    site->op = kBinary[rng.uniform_int(4)];
-  } else if (is_unary(site->op)) {
-    site->op = site->op == Op::kLog ? Op::kSqrt : Op::kLog;
-  } else if (site->op == Op::kVar && num_vars > 0) {
-    site->var = rng.uniform_int(num_vars);
+    site.op = kBinary[rng.uniform_int(4)];
+  } else if (is_unary(site.op)) {
+    site.op = site.op == Op::kLog ? Op::kSqrt : Op::kLog;
+  } else if (site.op == Op::kVar && num_vars > 0) {
+    site.var = static_cast<std::uint32_t>(rng.uniform_int(num_vars));
   } else {
-    site->value = random_constant(rng);
+    site.value = random_constant(rng);
   }
-  if (out.size() > max_nodes) return e.clone();
+  if (out.size() > max_nodes) return g;
   return out;
+}
+
+Expr Genome::to_expr() const {
+  std::size_t pos = 0;
+  return genes_.empty() ? Expr() : build(genes_, pos);
+}
+
+int Genome::depth() const noexcept {
+  std::size_t pos = 0;
+  return genes_.empty() ? 0 : depth_at(genes_, pos);
+}
+
+void Genome::key(std::string& out) const {
+  out.clear();
+  for (const Gene& gene : genes_) {
+    out.push_back(static_cast<char>(gene.op));
+    if (gene.op == Op::kConst) {
+      const auto bits = std::bit_cast<std::uint64_t>(gene.value);
+      out.append(reinterpret_cast<const char*>(&bits), sizeof bits);
+    } else if (gene.op == Op::kVar) {
+      out.append(reinterpret_cast<const char*>(&gene.var), sizeof gene.var);
+    }
+  }
 }
 
 double Expr::eval(std::span<const double> vars) const {
@@ -244,26 +300,16 @@ std::string Expr::str(std::span<const std::string> names) const {
 
 namespace {
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kVar: return "var";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kLog: return "log";
-    case Op::kSqrt: return "sqrt";
-  }
-  return "?";
-}
+/// S-expression operator names, indexed by Op.
+constexpr std::array<std::string_view, 8> kOpNames{
+    "const", "var", "add", "sub", "mul", "div", "log", "sqrt"};
 
 void sexpr_node(const ExprNode* n, std::ostringstream& os) {
   if (!n) {
     os << "(const 0)";
     return;
   }
-  os << '(' << op_name(n->op);
+  os << '(' << kOpNames[static_cast<std::size_t>(n->op)];
   switch (n->op) {
     case Op::kConst:
       // max_digits10 so the value round-trips bit-exactly.
@@ -357,26 +403,15 @@ class SexprParser {
       throw std::invalid_argument("expression nesting too deep");
     expect('(');
     const std::string op = token();
-    auto node = std::make_unique<ExprNode>();
-    if (op == "const") {
-      node->op = Op::kConst;
-      node->value = number_token();
-    } else if (op == "var") {
-      node->op = Op::kVar;
-      node->var = index_token();
-    } else if (op == "log" || op == "sqrt") {
-      node->op = op == "log" ? Op::kLog : Op::kSqrt;
-      node->lhs = parse_node();
-    } else if (op == "add" || op == "sub" || op == "mul" || op == "div") {
-      node->op = op == "add"   ? Op::kAdd
-                 : op == "sub" ? Op::kSub
-                 : op == "mul" ? Op::kMul
-                               : Op::kDiv;
-      node->lhs = parse_node();
-      node->rhs = parse_node();
-    } else {
+    const auto named = std::find(kOpNames.begin(), kOpNames.end(), op);
+    if (named == kOpNames.end())
       throw std::invalid_argument("unknown operator '" + op + "'");
-    }
+    auto node = std::make_unique<ExprNode>();
+    node->op = static_cast<Op>(named - kOpNames.begin());
+    if (node->op == Op::kConst) node->value = number_token();
+    if (node->op == Op::kVar) node->var = index_token();
+    if (is_unary(node->op) || is_binary(node->op)) node->lhs = parse_node();
+    if (is_binary(node->op)) node->rhs = parse_node();
     expect(')');
     --depth_;
     return node;

@@ -1,10 +1,12 @@
 #pragma once
-// Expression trees for symbolic regression.
+// Expressions for symbolic regression, in two forms.
 //
 // Operators are "protected" in the usual GP sense (division by ~0 returns
 // the numerator, log/sqrt take magnitudes) so that every tree is total over
 // the whole parameter space and evolution never has to reason about domain
-// errors.
+// errors. `Genome` is the flat preorder array the regressor evolves; `Expr`
+// is the pointer tree kept at the boundary (ExprModel, simplified(), str(),
+// the S-expression text of saved models).
 
 #include <cstdint>
 #include <memory>
@@ -51,22 +53,13 @@ class Expr {
   [[nodiscard]] static Expr binary(Op op, Expr lhs, Expr rhs);
   [[nodiscard]] static Expr unary(Op op, Expr operand);
 
-  /// Grow-method random tree over `num_vars` variables.
+  /// Grow-method random tree over `num_vars` variables (Genome::random,
+  /// as a tree).
   [[nodiscard]] static Expr random(util::Rng& rng, std::size_t num_vars,
                                    int max_depth);
-  /// Subtree crossover: a copy of `a` with a random subtree replaced by a
-  /// random subtree of `b`. Result exceeding `max_nodes` falls back to a
-  /// clone of `a`.
-  [[nodiscard]] static Expr crossover(const Expr& a, const Expr& b,
-                                      util::Rng& rng, std::size_t max_nodes);
-  /// Point/subtree mutation (constant jitter, operator swap, or subtree
-  /// regrowth).
-  [[nodiscard]] static Expr mutate(const Expr& e, util::Rng& rng,
-                                   std::size_t num_vars, int max_depth,
-                                   std::size_t max_nodes);
 
   // -- Evaluation semantics contract ---------------------------------------
-  // Every evaluator of an expression tree (eval() here, the compiled
+  // Every evaluator of an expression (eval() here, the compiled
   // ExprProgram, and the constant folder in simplified()) implements the
   // SAME total function, bit for bit:
   //   * kDiv:  num / den, except |den| < 1e-9 returns num unchanged — there
@@ -82,7 +75,7 @@ class Expr {
   // agree on every input. This is what lets SymReg memoize and batch-compile
   // fitness while keeping tree-walk eval() as the reference oracle.
   [[nodiscard]] double eval(std::span<const double> vars) const;
-  /// Read-only view of the tree root (used by the ExprProgram compiler and
+  /// Read-only view of the tree root (flattened by Genome, read by
   /// structural inspections). Null for an empty expression.
   [[nodiscard]] const ExprNode* root() const noexcept { return root_.get(); }
   [[nodiscard]] std::size_t size() const noexcept;  ///< node count
@@ -111,8 +104,60 @@ class Expr {
   explicit Expr(std::unique_ptr<ExprNode> root) : root_(std::move(root)) {}
 
   std::unique_ptr<ExprNode> root_;
+};
 
-  friend class SymbolicRegressor;
+/// One node of a Genome. `var` is read only by kVar and `value` only by
+/// kConst; the other fields are ignored (as in ExprNode).
+struct Gene {
+  Op op = Op::kConst;
+  std::uint32_t var = 0;
+  double value = 0.0;
+};
+
+/// An expression as one flat preorder array of genes: the subtree rooted at
+/// gene i is the range [i, subtree_end(i)), so a clone is a copy and the GP
+/// operators are splices. A site is a preorder index, the order a recursive
+/// tree walk visits nodes in. Only the operations below build a Genome, so
+/// every Genome is a well-formed tree.
+class Genome {
+ public:
+  Genome() = default;  ///< empty; compiles to a program evaluating to 0
+  /// Flatten `expr`. Throws std::length_error for a variable index above
+  /// 65535, the bytecode limit of ExprProgram.
+  explicit Genome(const Expr& expr);
+
+  /// Grow-method random expression over `num_vars` variables.
+  [[nodiscard]] static Genome random(util::Rng& rng, std::size_t num_vars,
+                                     int max_depth);
+  /// Subtree crossover: `a` with a random subtree replaced by a random
+  /// subtree of `b`. A result exceeding `max_nodes` falls back to `a`.
+  [[nodiscard]] static Genome crossover(const Genome& a, const Genome& b,
+                                        util::Rng& rng, std::size_t max_nodes);
+  /// Point/subtree mutation (constant jitter, operator swap, or subtree
+  /// regrowth). A result exceeding `max_nodes` falls back to `g`.
+  [[nodiscard]] static Genome mutate(const Genome& g, util::Rng& rng,
+                                     std::size_t num_vars, int max_depth,
+                                     std::size_t max_nodes);
+
+  /// The same expression as a pointer tree.
+  [[nodiscard]] Expr to_expr() const;
+
+  /// Exact memo key into `out`: per gene the op byte, then a constant's 8
+  /// bit-pattern bytes or a variable's 4 index bytes. Non-empty genomes
+  /// share a key exactly when their to_expr().to_sexpr() texts are equal
+  /// (+0.0/-0.0 and constants one ulp apart differ in both), except that
+  /// NaN constants, which no GP operator produces, key by their bits.
+  void key(std::string& out) const;
+
+  [[nodiscard]] std::span<const Gene> genes() const noexcept { return genes_; }
+  [[nodiscard]] std::size_t size() const noexcept { return genes_.size(); }
+  [[nodiscard]] int depth() const noexcept;
+  [[nodiscard]] bool empty() const noexcept { return genes_.empty(); }
+
+ private:
+  [[nodiscard]] std::size_t subtree_end(std::size_t i) const noexcept;
+
+  std::vector<Gene> genes_;
 };
 
 }  // namespace ftbesst::model

@@ -27,7 +27,8 @@ inline std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Compiler state: hash-consing of subtrees into registers.
 ///
-/// compile_node returns an abstract Value — a compile-time constant, a
+/// compile_node reads one subtree of a Genome (preorder, advancing `pos`
+/// past it) and returns an abstract Value — a compile-time constant, a
 /// dataset column, or a register. Leaves stay abstract: an enclosing
 /// operation embeds them as direct operands (Src::kCol / Src::kLit), so
 /// constants and variables never spend an instruction or a register-wide
@@ -55,34 +56,35 @@ class Compiler {
     std::uint16_t idx = 0;
   };
 
-  Value compile_node(const ExprNode* n, std::vector<ProgInstr>& code) {
-    ++visited_;
-    switch (n->op) {
+  Value compile_node(std::span<const Gene> genes, std::size_t& pos,
+                     std::vector<ProgInstr>& code) {
+    const Gene& n = genes[pos++];
+    switch (n.op) {
       case Op::kConst:
-        return Value{Value::kConstV, n->value, 0};
+        return Value{Value::kConstV, n.value, 0};
       case Op::kVar:
-        if (n->var > std::numeric_limits<std::uint16_t>::max())
+        if (n.var > std::numeric_limits<std::uint16_t>::max())
           throw std::length_error("variable index exceeds program limits");
-        return Value{Value::kColV, 0.0, static_cast<std::uint16_t>(n->var)};
+        return Value{Value::kColV, 0.0, static_cast<std::uint16_t>(n.var)};
       case Op::kLog:
       case Op::kSqrt: {
-        const Value a = compile_node(n->lhs.get(), code);
+        const Value a = compile_node(genes, pos, code);
         if (a.kind == Value::kConstV) {
           const double folded =
-              n->op == Op::kLog ? op_log(a.constant) : op_sqrt(a.constant);
+              n.op == Op::kLog ? op_log(a.constant) : op_sqrt(a.constant);
           return Value{Value::kConstV, folded, 0};
         }
         ProgInstr instr;
-        instr.op = n->op;
+        instr.op = n.op;
         set_operand(instr.a_src, instr.a, instr.value, a);
         return Value{Value::kRegV, 0.0, emit(instr, code)};
       }
       default: {  // binary arithmetic
-        const Value a = compile_node(n->lhs.get(), code);
-        const Value b = compile_node(n->rhs.get(), code);
+        const Value a = compile_node(genes, pos, code);
+        const Value b = compile_node(genes, pos, code);
         if (a.kind == Value::kConstV && b.kind == Value::kConstV) {
           double folded = 0.0;
-          switch (n->op) {
+          switch (n.op) {
             case Op::kAdd: folded = op_add(a.constant, b.constant); break;
             case Op::kSub: folded = op_sub(a.constant, b.constant); break;
             case Op::kMul: folded = op_mul(a.constant, b.constant); break;
@@ -92,7 +94,7 @@ class Compiler {
           return Value{Value::kConstV, folded, 0};
         }
         ProgInstr instr;
-        instr.op = n->op;
+        instr.op = n.op;
         set_operand(instr.a_src, instr.a, instr.value, a);
         set_operand(instr.b_src, instr.b, instr.value, b);
         return Value{Value::kRegV, 0.0, emit(instr, code)};
@@ -117,8 +119,6 @@ class Compiler {
   [[nodiscard]] std::uint16_t next_reg() const noexcept {
     return static_cast<std::uint16_t>(next_);
   }
-
-  [[nodiscard]] std::size_t visited() const noexcept { return visited_; }
 
  private:
   static void set_operand(Src& src, std::uint16_t& idx, double& value,
@@ -163,7 +163,6 @@ class Compiler {
 
   static constexpr std::uint32_t kNotFound = 0xffffffffu;
   std::uint32_t next_ = 0;
-  std::size_t visited_ = 0;
 };
 
 inline bool prog_is_binary(Op op) {
@@ -303,22 +302,27 @@ inline void unary_dispatch(double* dst, std::size_t n, const double* x,
 }  // namespace
 
 ExprProgram ExprProgram::compile(const Expr& expr) {
+  return compile(Genome(expr));
+}
+
+ExprProgram ExprProgram::compile(const Genome& genome) {
   ExprProgram prog;
-  compile_into(expr, prog);
+  compile_into(genome, prog);
   return prog;
 }
 
-void ExprProgram::compile_into(const Expr& expr, ExprProgram& out) {
+void ExprProgram::compile_into(const Genome& genome, ExprProgram& out) {
   out.code_.clear();
   out.regs_ = 0;
   out.root_ = 0;
-  out.tree_nodes_ = 0;
-  if (expr.empty()) return;
+  out.tree_nodes_ = genome.size();
+  if (genome.empty()) return;
   Compiler compiler;
-  const Compiler::Value root = compiler.compile_node(expr.root(), out.code_);
+  std::size_t pos = 0;
+  const Compiler::Value root =
+      compiler.compile_node(genome.genes(), pos, out.code_);
   out.root_ = compiler.materialize(root, out.code_);
   out.regs_ = compiler.next_reg();
-  out.tree_nodes_ = compiler.visited();
   fuse_unaries(out.code_, out.root_, out.regs_);
 }
 
@@ -415,55 +419,6 @@ void ExprProgram::eval_dataset(const Dataset& data, std::vector<double>& out,
     for (std::size_t i = 0; i < n; ++i)
       out[i] = std::isfinite(root[i]) ? root[i] : 0.0;
   }
-}
-
-double ExprProgram::eval(std::span<const double> vars) const {
-  if (code_.empty()) return 0.0;
-  std::vector<double> regs(regs_, 0.0);
-  const auto load = [&](Src src, std::uint16_t idx, double value) -> double {
-    switch (src) {
-      case Src::kReg: return regs[idx];
-      case Src::kCol: return idx < vars.size() ? vars[idx] : 0.0;
-      case Src::kLit:
-      default: return value;
-    }
-  };
-  for (const ProgInstr& instr : code_) {
-    double v = 0.0;
-    switch (instr.op) {
-      case Op::kConst:  // root-leaf only: `a` is not an operand descriptor
-        v = instr.value;
-        break;
-      case Op::kVar:  // root-leaf only: `a` is the variable index
-        v = instr.a < vars.size() ? vars[instr.a] : 0.0;
-        break;
-      case Op::kLog:
-        v = op_log(load(instr.a_src, instr.a, instr.value));
-        break;
-      case Op::kSqrt:
-        v = op_sqrt(load(instr.a_src, instr.a, instr.value));
-        break;
-      default: {
-        const double a = load(instr.a_src, instr.a, instr.value);
-        const double b = load(instr.b_src, instr.b, instr.value);
-        switch (instr.op) {
-          case Op::kAdd: v = op_add(a, b); break;
-          case Op::kSub: v = op_sub(a, b); break;
-          case Op::kMul: v = op_mul(a, b); break;
-          case Op::kDiv: v = op_div(a, b); break;
-          default: break;
-        }
-        break;
-      }
-    }
-    if (instr.post == Post::kLog)
-      v = op_log(v);
-    else if (instr.post == Post::kSqrt)
-      v = op_sqrt(v);
-    regs[instr.dst] = v;
-  }
-  const double v = regs[root_];
-  return std::isfinite(v) ? v : 0.0;
 }
 
 }  // namespace ftbesst::model

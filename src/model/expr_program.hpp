@@ -1,17 +1,19 @@
 #pragma once
-// Compiled batch evaluation for expression trees.
+// Compiled batch evaluation for expressions.
 //
 // SymReg fitness is the calibration hot loop: every individual of every
 // generation is evaluated on every dataset row. Walking the `Expr` tree
 // per row (recursion, pointer chasing, one switch per node per row) is
-// what the seed did; an ExprProgram instead lowers the tree once into a
-// flat register program — with compile-time constant folding and
+// what the seed did; an ExprProgram instead lowers the expression once into
+// a flat register program — with compile-time constant folding and
 // common-subexpression elimination over the tree's DAG — and evaluates it
-// column-wise over the structure-of-arrays view of a Dataset. The inner
+// column-wise over the structure-of-arrays view of a Dataset. There is one
+// compiler, and it reads a Genome (the flat preorder form); compiling an
+// `Expr` flattens it first. The inner
 // loop is then one opcode switch per *instruction*, each running a tight
 // vectorizable pass over contiguous doubles.
 //
-// Semantics contract: ExprProgram::eval_* is bit-identical to calling
+// Semantics contract: ExprProgram::eval_dataset is bit-identical to calling
 // Expr::eval row by row, including the protected-operator behaviour
 // (x/den with |den| < 1e-9 returns x, log is log1p|x|, sqrt is sqrt|x|),
 // out-of-range variables reading as 0, and the final non-finite-to-zero
@@ -27,7 +29,6 @@
 // evaluation").
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "model/dataset.hpp"
@@ -83,32 +84,30 @@ class ExprProgram {
  public:
   ExprProgram() = default;  ///< evaluates to 0.0 everywhere, like empty Expr
 
-  /// Lower `expr` to a flat program. Structurally identical subtrees are
+  /// Lower `genome` to a flat program. Structurally identical subtrees are
   /// computed once (CSE) and all-constant subtrees are folded at compile
   /// time using the exact protected eval() semantics. Throws
-  /// std::length_error in the (pathological) case of more than 65535
-  /// distinct subexpressions.
+  /// std::length_error for a variable index above 65535 or, in the
+  /// (pathological) case, more than 65535 distinct subexpressions.
+  [[nodiscard]] static ExprProgram compile(const Genome& genome);
+  /// compile(Genome(expr)).
   [[nodiscard]] static ExprProgram compile(const Expr& expr);
 
   /// As compile(), but reuses `out`'s storage (cleared, capacity kept).
   /// The population loop lowers thousands of programs per generation;
-  /// recycling one ExprProgram per worker keeps that loop malloc-free.
-  static void compile_into(const Expr& expr, ExprProgram& out);
+  /// recycling one ExprProgram keeps that loop malloc-free.
+  static void compile_into(const Genome& genome, ExprProgram& out);
 
   /// Evaluate over every row of `data`, column-wise, into `out` (resized
   /// to data.num_rows()). Bit-identical to Expr::eval on each row.
   void eval_dataset(const Dataset& data, std::vector<double>& out,
                     EvalScratch& scratch) const;
 
-  /// Single-point evaluation (spot checks, PerfModel::predict parity).
-  [[nodiscard]] double eval(std::span<const double> vars) const;
-
   [[nodiscard]] std::size_t num_instructions() const noexcept {
     return code_.size();
   }
-  [[nodiscard]] std::size_t num_registers() const noexcept { return regs_; }
-  /// Node count of the source tree; num_instructions() below this measures
-  /// the work removed by folding + CSE.
+  /// Node count of the source expression; num_instructions() below this
+  /// measures the work removed by folding + CSE.
   [[nodiscard]] std::size_t tree_nodes() const noexcept { return tree_nodes_; }
   [[nodiscard]] bool empty() const noexcept { return code_.empty(); }
 

@@ -10,7 +10,6 @@
 
 #include "obs/obs.hpp"
 #include "util/stats.hpp"
-#include "util/task_pool.hpp"
 
 namespace ftbesst::model {
 
@@ -169,9 +168,9 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
                                     const Dataset& test) const {
   FTBESST_OBS_SPAN("model.symreg_fit");
   // Calibration progress: evals counts expensive compile+batch evaluations,
-  // memo_hits the ones the S-expression memo avoided; best_fitness is
-  // observed once per generation.  Pure observation — never touches the RNG
-  // or fitness math, so obs on/off stays bit-identical.
+  // memo_hits the ones the memo avoided; best_fitness is observed once per
+  // generation.  Pure observation — never touches the RNG or fitness math,
+  // so obs on/off stays bit-identical.
   static const obs::Counter obs_generations = obs::counter("symreg.generations");
   static const obs::Counter obs_evals = obs::counter("symreg.evals");
   static const obs::Counter obs_memo_hits = obs::counter("symreg.memo_hits");
@@ -181,87 +180,61 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
   util::Rng rng(config_.seed);
   const std::size_t num_vars = train.num_params();
   const ResponseView ry = make_response_view(train.responses());
-  util::TaskPool& pool =
-      config_.pool ? *config_.pool : util::TaskPool::shared();
 
   struct Individual {
-    Expr expr;
+    Genome genome;
     ScaledFit fit;
     double fitness = std::numeric_limits<double>::infinity();
     bool evaluated = false;
   };
 
-  // Fitness memo across the whole run, keyed by the canonical S-expression
-  // (round-trippable and structurally unique, so hits are exact — no hash
-  // collision can hand an individual someone else's fitness). Crossover and
-  // mutation re-create the same offspring constantly; a memo hit skips the
-  // whole compile + batch-eval + scaling pipeline.
+  // Fitness memo across the whole run, keyed by the genome's exact bytes.
+  // Crossover and mutation re-create the same offspring constantly; a hit
+  // skips compile + batch-eval + scaling. Only a hit on an earlier
+  // generation's entry counts as symreg.memo_hits; a repeat within one
+  // generation counts as neither a hit nor an eval.
   struct Evaluated {
     ScaledFit fit;
     double fitness = 0.0;
+    std::size_t generation = 0;
   };
   std::unordered_map<std::string, Evaluated> memo;
+  std::size_t generation = 0;
+  std::string key;
+  ExprProgram prog;
+  std::vector<double> f;
+  EvalScratch scratch;
 
-  // Evaluate every not-yet-evaluated individual in `pop`: memo lookups and
-  // memo insertion run serially (deterministic order), the expensive
-  // compile + column-wise evaluation runs on the pool with results written
-  // to per-candidate slots — bit-identical for any worker count.
+  // Evaluate every not-yet-evaluated individual in population order, on
+  // this thread: at calibration sizes a compile + evaluation costs less
+  // than handing it to a pool task.
   auto evaluate_population = [&](std::vector<Individual>& inds) {
+    ++generation;
+    std::uint64_t evals = 0;
     std::uint64_t memo_hits = 0;
-    struct Pending {
-      const Expr* expr = nullptr;
-      Evaluated result;
-      std::vector<std::size_t> targets;  // individuals sharing this key
-    };
-    std::vector<Pending> pending;
-    std::vector<std::string> pending_keys;
-    std::unordered_map<std::string, std::size_t> batch_index;
-    for (std::size_t i = 0; i < inds.size(); ++i) {
-      if (inds[i].evaluated) continue;
-      std::string key = inds[i].expr.to_sexpr();
-      if (const auto hit = memo.find(key); hit != memo.end()) {
-        inds[i].fit = hit->second.fit;
-        inds[i].fitness = hit->second.fitness;
-        inds[i].evaluated = true;
-        ++memo_hits;
-        continue;
-      }
-      const auto [it, fresh] =
-          batch_index.emplace(std::move(key), pending.size());
+    for (Individual& ind : inds) {
+      if (ind.evaluated) continue;
+      ind.genome.key(key);
+      const auto [it, fresh] = memo.try_emplace(key);
+      Evaluated& entry = it->second;
       if (fresh) {
-        pending.push_back(Pending{&inds[i].expr, {}, {}});
-        pending_keys.push_back(it->first);
+        ExprProgram::compile_into(ind.genome, prog);
+        prog.eval_dataset(train, f, scratch);
+        entry.fit = linear_scale_fit(f, ry);
+        entry.fitness =
+            entry.fit.mape +
+            config_.parsimony * static_cast<double>(ind.genome.size());
+        entry.generation = generation;
+        ++evals;
+      } else if (entry.generation != generation) {
+        ++memo_hits;
       }
-      pending[it->second].targets.push_back(i);
-    }
-
-    util::parallel_for(
-        pending.size(),
-        [&](std::size_t p) {
-          // Reused across candidates claimed by the same worker thread.
-          thread_local std::vector<double> f;
-          thread_local EvalScratch scratch;
-          thread_local ExprProgram prog;
-          Pending& work = pending[p];
-          ExprProgram::compile_into(*work.expr, prog);
-          prog.eval_dataset(train, f, scratch);
-          work.result.fit = linear_scale_fit(f, ry);
-          work.result.fitness =
-              work.result.fit.mape +
-              config_.parsimony * static_cast<double>(work.expr->size());
-        },
-        pool);
-
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      memo.emplace(pending_keys[p], pending[p].result);
-      for (std::size_t i : pending[p].targets) {
-        inds[i].fit = pending[p].result.fit;
-        inds[i].fitness = pending[p].result.fitness;
-        inds[i].evaluated = true;
-      }
+      ind.fit = entry.fit;
+      ind.fitness = entry.fitness;
+      ind.evaluated = true;
     }
     if (obs::enabled()) {
-      obs_evals.add(pending.size());
+      obs_evals.add(evals);
       obs_memo_hits.add(memo_hits);
     }
   };
@@ -271,23 +244,21 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
   // the monomial-dominated timing surfaces we fit.
   std::vector<Individual> pop(config_.population);
   std::size_t idx = 0;
+  const auto var = [](std::size_t v) { return Expr::variable(v); };
   for (std::size_t v = 0; v < num_vars && idx < pop.size(); ++v)
-    pop[idx++].expr = Expr::variable(v);
+    pop[idx++].genome = Genome(var(v));
   for (std::size_t a = 0; a < num_vars && idx < pop.size(); ++a)
     for (std::size_t b = 0; b < num_vars && idx + 3 < pop.size(); ++b) {
-      pop[idx++].expr =
-          Expr::binary(Op::kMul, Expr::variable(a), Expr::variable(b));
-      pop[idx++].expr = Expr::binary(
-          Op::kMul, Expr::variable(a),
-          Expr::binary(Op::kMul, Expr::variable(b), Expr::variable(b)));
-      pop[idx++].expr = Expr::binary(Op::kMul, Expr::variable(a),
-                                     Expr::unary(Op::kLog, Expr::variable(b)));
+      pop[idx++].genome = Genome(Expr::binary(Op::kMul, var(a), var(b)));
+      pop[idx++].genome = Genome(Expr::binary(
+          Op::kMul, var(a), Expr::binary(Op::kMul, var(b), var(b))));
+      pop[idx++].genome = Genome(
+          Expr::binary(Op::kMul, var(a), Expr::unary(Op::kLog, var(b))));
       if (a != b)
-        pop[idx++].expr =
-            Expr::binary(Op::kDiv, Expr::variable(a), Expr::variable(b));
+        pop[idx++].genome = Genome(Expr::binary(Op::kDiv, var(a), var(b)));
     }
   for (; idx < pop.size(); ++idx)
-    pop[idx].expr = Expr::random(rng, num_vars, config_.max_depth);
+    pop[idx].genome = Genome::random(rng, num_vars, config_.max_depth);
   evaluate_population(pop);
 
   auto tournament = [&]() -> const Individual& {
@@ -307,7 +278,7 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
   auto consider_champion = [&](const Individual& ind, std::size_t gen) {
     double test_mape = ind.fit.mape;
     if (!test.empty()) {
-      const ExprProgram prog = ExprProgram::compile(ind.expr);
+      const ExprProgram prog = ExprProgram::compile(ind.genome);
       test_mape = mape_with_scaling(prog, test, ind.fit.scale, ind.fit.offset,
                                     test_buf, test_scratch);
     }
@@ -321,7 +292,7 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
       // Ship the algebraically simplified form — identical semantics,
       // readable formula.
       result.model = std::make_shared<ExprModel>(
-          ind.expr.simplified(), ind.fit.scale, ind.fit.offset,
+          ind.genome.to_expr().simplified(), ind.fit.scale, ind.fit.offset,
           train.param_names());
       result.train_mape = ind.fit.mape;
       result.test_mape = test.empty() ? ind.fit.mape : test_mape;
@@ -357,12 +328,7 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
                         return a->fitness < b->fitness;
                       });
     for (std::size_t e = 0; e < std::min(config_.elitism, ranked.size()); ++e) {
-      Individual copy;
-      copy.expr = ranked[e]->expr.clone();
-      copy.fit = ranked[e]->fit;
-      copy.fitness = ranked[e]->fitness;
-      copy.evaluated = true;
-      next.push_back(std::move(copy));
+      next.push_back(*ranked[e]);
     }
 
     // Breeding consumes the RNG serially (selection depends only on the
@@ -372,13 +338,17 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
       const double roll = rng.uniform();
       Individual child;
       if (roll < config_.crossover_prob) {
-        child.expr = Expr::crossover(tournament().expr, tournament().expr,
-                                     rng, config_.max_nodes);
+        // Donor first, in two statements: the pinned calibration outputs
+        // (tests/golden) were bred in this order, and draws made inside one
+        // argument list would leave the order to the compiler.
+        const Genome& donor = tournament().genome;
+        const Genome& parent = tournament().genome;
+        child.genome = Genome::crossover(parent, donor, rng, config_.max_nodes);
       } else if (roll < config_.crossover_prob + config_.mutation_prob) {
-        child.expr = Expr::mutate(tournament().expr, rng, num_vars,
-                                  config_.max_depth, config_.max_nodes);
+        child.genome = Genome::mutate(tournament().genome, rng, num_vars,
+                                      config_.max_depth, config_.max_nodes);
       } else {
-        child.expr = tournament().expr.clone();
+        child.genome = tournament().genome;
       }
       next.push_back(std::move(child));
     }

@@ -7,13 +7,16 @@
 // models through an iterative process. The testing data is used to evaluate
 // model accuracy at each iteration."
 //
-// The engine evolves protected expression trees with tournament selection,
-// subtree crossover, and point/subtree mutation. Fitness is training MAPE
-// after *linear scaling* (for every candidate f we analytically choose a, b
-// minimizing squared error of a*f(x)+b — a standard trick that lets the GP
-// concentrate on shape rather than magnitude) plus a parsimony penalty.
-// The returned model is the scaled expression with the best held-out
-// (test) MAPE seen across all generations.
+// The engine evolves protected expressions, stored as flat preorder
+// Genomes (expr.hpp), with tournament selection, subtree crossover, and
+// point/subtree mutation. Fitness is training MAPE after *linear scaling*
+// (for every candidate f we analytically choose a, b minimizing squared
+// error of a*f(x)+b — a standard trick that lets the GP concentrate on
+// shape rather than magnitude) plus a parsimony penalty, memoized for the
+// whole run under the genome's byte key. The returned model is the scaled
+// expression with the best held-out (test) MAPE seen across all
+// generations. A fit is serial, so its champion is the same on any thread
+// (docs/ARCHITECTURE.md, "Calibration pipeline", has the measurements).
 
 #include <cstdint>
 #include <optional>
@@ -24,10 +27,6 @@
 #include "model/expr.hpp"
 #include "model/expr_program.hpp"
 #include "model/perf_model.hpp"
-
-namespace ftbesst::util {
-class TaskPool;
-}
 
 namespace ftbesst::model {
 
@@ -44,7 +43,6 @@ class ExprModel final : public PerfModel {
                      std::vector<double>& out) const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] const Expr& expr() const noexcept { return expr_; }
-  [[nodiscard]] const ExprProgram& program() const noexcept { return program_; }
   [[nodiscard]] double scale() const noexcept { return scale_; }
   [[nodiscard]] double offset() const noexcept { return offset_; }
   [[nodiscard]] const std::vector<std::string>& param_names() const noexcept {
@@ -72,12 +70,6 @@ struct SymRegConfig {
   std::uint64_t seed = 1;
   /// Stop early once training MAPE (%) drops below this.
   double target_train_mape = 0.5;
-  /// Pool for parallel fitness evaluation; nullptr = the process-wide
-  /// util::TaskPool::shared(). Results are bit-identical for every worker
-  /// count: offspring are bred serially from the config seed, fitness is a
-  /// pure function of the expression written to a per-individual slot, and
-  /// the fitness memo is filled in deterministic serial order.
-  util::TaskPool* pool = nullptr;
 };
 
 struct SymRegResult {

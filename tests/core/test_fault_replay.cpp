@@ -6,6 +6,7 @@
 
 #include "core/arch.hpp"
 #include "core/engine_bsp.hpp"
+#include "core/engine_des.hpp"
 #include "net/topology.hpp"
 
 namespace ftbesst::core {
@@ -97,6 +98,26 @@ TEST(FaultReplay, TracePrecedesFaultProcess) {
   EXPECT_EQ(a.faults, 1);
   EXPECT_DOUBLE_EQ(a.total_seconds, b.total_seconds);
   EXPECT_DOUBLE_EQ(a.total_seconds, 124.0);
+}
+
+TEST(FaultReplay, EmptyTraceReplaysZeroFaultsInBothEngines) {
+  // A recorded trial with no faults is still a trace: replaying it must run
+  // fault-free in both engines even though the architecture has a fault
+  // process that would strike many times in 105 s.
+  ArchBEO arch = make_arch();
+  arch.set_fault_process(ft::FaultProcess(20.0));
+  EngineOptions opt;
+  opt.inject_faults = true;
+  opt.downtime_seconds = 5.0;
+  opt.max_sim_seconds = 1000.0;
+  opt.fault_trace = std::vector<ft::FaultEvent>{};
+  for (const bool des : {false, true}) {
+    const RunResult r =
+        des ? run_des(make_app(), arch, opt) : run_bsp(make_app(), arch, opt);
+    EXPECT_EQ(r.faults, 0) << (des ? "des" : "bsp");
+    EXPECT_TRUE(r.completed) << (des ? "des" : "bsp");
+    EXPECT_DOUBLE_EQ(r.total_seconds, 105.0) << (des ? "des" : "bsp");
+  }
 }
 
 TEST(FaultReplay, UnorderedTraceRejected) {

@@ -218,7 +218,7 @@ TEST(DesInject, DumpedFaultLogReplaysBitIdentically) {
       ft::FaultLog::from_text(sampled.fault_log.to_text());
   EngineOptions replay = opt;
   replay.fault_trace = log.to_trace(0);
-  ASSERT_EQ(replay.fault_trace.size(), sampled.fault_log.size());
+  ASSERT_EQ(replay.fault_trace->size(), sampled.fault_log.size());
   const RunResult again = run_des(make_app(), arch, replay);
   expect_bit_identical(sampled, again);
 }

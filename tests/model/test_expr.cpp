@@ -87,30 +87,30 @@ TEST(Expr, RandomRespectsDepthLimit) {
 
 TEST(Expr, CrossoverStaysWithinNodeBudget) {
   util::Rng rng(4);
-  const auto a = Expr::random(rng, 2, 5);
-  const auto b = Expr::random(rng, 2, 5);
+  const auto a = Genome::random(rng, 2, 5);
+  const auto b = Genome::random(rng, 2, 5);
   for (int i = 0; i < 100; ++i) {
-    const auto child = Expr::crossover(a, b, rng, 20);
+    const auto child = Genome::crossover(a, b, rng, 20);
     EXPECT_LE(child.size(), 20u);
-    EXPECT_TRUE(std::isfinite(child.eval(std::array{1.0, 2.0})));
+    EXPECT_TRUE(std::isfinite(child.to_expr().eval(std::array{1.0, 2.0})));
   }
 }
 
 TEST(Expr, MutateProducesValidTrees) {
   util::Rng rng(5);
-  auto e = Expr::random(rng, 2, 4);
+  auto g = Genome::random(rng, 2, 4);
   for (int i = 0; i < 200; ++i) {
-    e = Expr::mutate(e, rng, 2, 4, 30);
-    EXPECT_LE(e.size(), 30u);
-    EXPECT_TRUE(std::isfinite(e.eval(std::array{2.0, 8.0})));
+    g = Genome::mutate(g, rng, 2, 4, 30);
+    EXPECT_LE(g.size(), 30u);
+    EXPECT_TRUE(std::isfinite(g.to_expr().eval(std::array{2.0, 8.0})));
   }
 }
 
 TEST(Expr, MutateEmptyRegrows) {
   util::Rng rng(6);
-  const Expr empty;
-  const auto e = Expr::mutate(empty, rng, 2, 3, 10);
-  EXPECT_GE(e.size(), 1u);
+  const Genome empty;
+  const auto g = Genome::mutate(empty, rng, 2, 3, 10);
+  EXPECT_GE(g.size(), 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -74,7 +75,7 @@ core::AppBEO make_lulesh_app() {
   return apps::build_lulesh_fti(cfg);
 }
 
-model::SymRegResult run_small_symreg_fit(util::TaskPool* pool = nullptr) {
+model::SymRegResult run_small_symreg_fit() {
   util::Rng rng(21);
   model::Dataset d({"a", "b"});
   for (double a : {1.0, 2.0, 3.0})
@@ -92,8 +93,16 @@ model::SymRegResult run_small_symreg_fit(util::TaskPool* pool = nullptr) {
   cfg.population = 64;
   cfg.generations = 8;
   cfg.seed = 13;
-  cfg.pool = pool;
   return model::SymbolicRegressor(cfg).fit(train, test);
+}
+
+/// The same fit, run as a task of `pool`.
+model::SymRegResult run_small_symreg_fit_in(util::TaskPool& pool) {
+  model::SymRegResult res;
+  util::TaskGroup group(pool);
+  group.run([&res] { res = run_small_symreg_fit(); });
+  group.wait();
+  return res;
 }
 
 TEST_F(ObsPipelineTest, LuleshDesRunPopulatesDesAndSimMetrics) {
@@ -126,11 +135,22 @@ TEST_F(ObsPipelineTest, LuleshDesRunPopulatesDesAndSimMetrics) {
 }
 
 TEST_F(ObsPipelineTest, SymRegFitPopulatesSymregAndPoolMetrics) {
-  // Explicit 4-worker pool: on a 1-core machine the shared pool has a
-  // single worker and parallel_for would run fully inline (0 tasks).
+  // A fit on the main thread, then the same fit inside a task on an
+  // explicit 4-worker pool (on a 1-core machine the shared pool has a
+  // single worker). The fit itself is serial, so the two champions must
+  // be bit-identical, and the metrics of the pooled fit must arrive from
+  // whichever thread ran it.
+  const auto on_main = run_small_symreg_fit();
+  obs::reset();
   util::TaskPool pool(4);
-  const auto res = run_small_symreg_fit(&pool);
+  const auto res = run_small_symreg_fit_in(pool);
   ASSERT_TRUE(res.model);
+  ASSERT_TRUE(on_main.model);
+  EXPECT_EQ(res.model->describe(), on_main.model->describe());
+  EXPECT_EQ(std::memcmp(&res.train_mape, &on_main.train_mape, sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&res.test_mape, &on_main.test_mape, sizeof(double)),
+            0);
 
   const auto snap = obs::scrape();
   // One generation counter tick per evolutionary iteration (early stop may
@@ -138,8 +158,8 @@ TEST_F(ObsPipelineTest, SymRegFitPopulatesSymregAndPoolMetrics) {
   // champion's generation, so best_history is the ground truth).
   EXPECT_EQ(snap.counter("symreg.generations"), res.best_history.size());
   EXPECT_GT(snap.counter("symreg.evals"), 0u);
-  // Parallel fitness evaluation submitted helper tasks to the pool
-  // (counted in run_task, so helper-executed tasks are covered too).
+  // The fit's task was counted by the pool (in run_task, so a task the
+  // waiting thread helped with is covered too).
   EXPECT_GT(snap.counter("pool.tasks"), 0u);
   const auto* fitness = snap.histogram("symreg.best_fitness");
   ASSERT_NE(fitness, nullptr);
@@ -154,10 +174,12 @@ TEST_F(ObsPipelineTest, SymRegFitPopulatesSymregAndPoolMetrics) {
 }
 
 TEST_F(ObsPipelineTest, WriteOutputDirEmitsValidArtifacts) {
-  // Full workload first, so the artifacts carry real content.
+  // Full workload first, so the artifacts carry real content: a DES run
+  // and a fit run as a pool task (the pool counters).
   const core::ArchBEO arch = make_lulesh_arch();
   (void)core::run_des(make_lulesh_app(), arch);
-  (void)run_small_symreg_fit();
+  util::TaskPool pool(2);
+  (void)run_small_symreg_fit_in(pool);
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /

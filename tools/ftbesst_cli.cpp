@@ -405,7 +405,7 @@ int cmd_inject(const util::ArgParser& args) {
     built.options.fault_trace = log.to_trace(trial);
     opt.trials = 1;
     std::cout << "replaying trial " << trial << " ("
-              << built.options.fault_trace.size() << " fault(s)) from "
+              << built.options.fault_trace->size() << " fault(s)) from "
               << *replay_path << "\n";
   }
   opt.engine = built.options;
