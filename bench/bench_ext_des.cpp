@@ -18,12 +18,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/engine_des.hpp"
+#include "core/montecarlo.hpp"
 #include "verify/scenario.hpp"
 
 using namespace ftbesst;
@@ -33,20 +33,6 @@ namespace {
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
-
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bits_equal(a[i], b[i])) return false;
-  return true;
 }
 
 /// The big_machine.scenario corpus entry, stripped to its deterministic
@@ -105,16 +91,6 @@ FoldLeg run_leg(const verify::Scenario& s, bool fold) {
   return leg;
 }
 
-bool predictions_identical(const core::RunResult& a,
-                           const core::RunResult& b) {
-  return bits_equal(a.total_seconds, b.total_seconds) &&
-         bits_equal(a.timestep_end_times, b.timestep_end_times) &&
-         a.checkpoint_timesteps == b.checkpoint_timesteps &&
-         a.instructions_executed == b.instructions_executed &&
-         a.faults == b.faults && a.rollbacks == b.rollbacks &&
-         a.full_restarts == b.full_restarts && a.completed == b.completed;
-}
-
 void print_fold_leg(const char* key, const FoldLeg& leg, bool last) {
   std::cout << "      \"" << key << "\": {\"wall_sec\": " << leg.wall_sec
             << ", \"events\": " << leg.events << ", \"events_per_sec\": "
@@ -144,7 +120,8 @@ int main() {
   for (Entry& e : entries) {
     e.folded = run_leg(e.scenario, true);
     e.unfolded = run_leg(e.scenario, false);
-    identical &= predictions_identical(e.folded.result, e.unfolded.result);
+    identical &=
+        core::bit_difference(e.folded.result, e.unfolded.result).empty();
     if (e.gated) {
       gated_folded_wall = e.folded.wall_sec;
       if (e.folded.wall_sec > 0)

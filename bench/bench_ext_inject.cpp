@@ -20,14 +20,13 @@
 //   - the single injected run does not complete or injects no faults,
 //   - the folded and unfolded single runs differ in any result field
 //     (sim_events aside) or fault-log byte,
-//   - the 1-thread and pooled campaigns disagree bitwise on any trial
-//     makespan or on the fault log,
+//   - the 1-thread and pooled campaigns disagree bitwise on any field
+//     core::bit_difference compares (the fault-log bytes included),
 //   - any campaign trial hits the simulation horizon, or
 //   - the pooled campaign takes 10 s or longer of wall-clock.
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -51,13 +50,6 @@ constexpr std::size_t kTrials = 16;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
 }
 
 core::ArchBEO make_arch() {
@@ -135,27 +127,6 @@ SingleRun run_single(const core::AppBEO& app, const core::ArchBEO& arch,
   return run;
 }
 
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bits_equal(a[i], b[i])) return false;
-  return true;
-}
-
-/// Every field except the sim_events diagnostic, bit for bit.
-bool runs_identical(const core::RunResult& a, const core::RunResult& b) {
-  return bits_equal(a.total_seconds, b.total_seconds) &&
-         bits_equal(a.timestep_end_times, b.timestep_end_times) &&
-         a.checkpoint_timesteps == b.checkpoint_timesteps &&
-         a.instructions_executed == b.instructions_executed &&
-         a.faults == b.faults && a.rollbacks == b.rollbacks &&
-         a.full_restarts == b.full_restarts &&
-         bits_equal(a.lost_work_seconds, b.lost_work_seconds) &&
-         a.recoveries_by_level == b.recoveries_by_level &&
-         a.completed == b.completed &&
-         a.fault_log.to_text() == b.fault_log.to_text();
-}
-
 void print_single_run(const char* key, const SingleRun& run) {
   const auto events = run.result.sim_events;
   std::cout << "\"" << key << "\": {\"wall_sec\": " << run.wall_sec
@@ -163,17 +134,6 @@ void print_single_run(const char* key, const SingleRun& run) {
             << (run.wall_sec > 0 ? static_cast<double>(events) / run.wall_sec
                                  : 0.0)
             << "}";
-}
-
-bool campaigns_identical(const inject::CampaignResult& a,
-                         const inject::CampaignResult& b) {
-  if (a.totals.size() != b.totals.size()) return false;
-  for (std::size_t i = 0; i < a.totals.size(); ++i)
-    if (!bits_equal(a.totals[i], b.totals[i])) return false;
-  return bits_equal(a.mean_faults, b.mean_faults) &&
-         bits_equal(a.mean_lost_work, b.mean_lost_work) &&
-         a.incomplete_trials == b.incomplete_trials &&
-         a.fault_log.to_text() == b.fault_log.to_text();
 }
 
 void print_campaign_leg(const char* key, const CampaignLeg& leg, bool last) {
@@ -211,8 +171,10 @@ int main() {
   const CampaignLeg pooled = run_leg(app, arch, 0);
 
   const bool single_ok = single.completed && single.faults > 0;
-  const bool fold_identical = runs_identical(folded.result, unfolded.result);
-  const bool identical = campaigns_identical(serial.result, pooled.result);
+  const bool fold_identical =
+      core::bit_difference(folded.result, unfolded.result).empty();
+  const bool identical =
+      core::bit_difference(serial.result, pooled.result).empty();
   const bool all_complete = pooled.result.incomplete_trials == 0;
   const bool wall_ok = pooled.wall_sec < 10.0;
   const bool gates_pass =

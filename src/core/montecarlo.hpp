@@ -1,13 +1,17 @@
 #pragma once
-// Monte-Carlo ensemble driver.
+// Monte-Carlo trial driver.
 //
 // "Because actual machine performance is non-deterministic due to noise and
 // other factors, BE-SST implements Monte Carlo simulations to capture the
 // variance that exists in the calibration samples ... each of the points on
 // the graph represent a distribution of results."
+//
+// run_trials is the one trial loop; run_ensemble and inject::run_campaign
+// are its entry points, and bit_difference is the one bitwise comparison.
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/engine_bsp.hpp"
@@ -24,32 +28,47 @@ struct EnsembleResult {
   double mean_rollbacks = 0.0;
   double mean_full_restarts = 0.0;
   std::size_t incomplete_trials = 0;  ///< trials that hit the horizon
-  // --- injection statistics (all zero when inject_faults is off). These
-  // are additions on top of the original aggregate; the verify corpus text
-  // format serializes explicit fields only, so appending here is
-  // corpus-safe. ---
+  // Injection statistics (zero when inject_faults is off).
   double mean_lost_work = 0.0;  ///< mean discarded execution per trial (s)
   /// Mean rollbacks that restored a level-L checkpoint, at index L-1.
   std::array<double, 4> mean_recoveries_by_level{};
-  /// Every trial's fault records merged, re-tagged with the trial index —
-  /// the campaign log exported by `ftbesst inject` (CSV / replay text).
+  /// Every trial's fault records, re-tagged with the trial index, and the
+  /// trial count. FaultLog::to_trace(trial) + EngineOptions::fault_trace
+  /// replays any single trial exactly.
   ft::FaultLog fault_log;
 };
 
-/// Run `trials` Monte-Carlo replications of the coarse engine with
-/// independent seeds derived from options.seed. Each trial draws fresh
-/// model noise (and, when enabled, a fresh fault timeline). Trials are
-/// independent and run as tasks on the shared util::TaskPool, which claims
-/// them dynamically and composes with an enclosing run_dse sweep without
-/// oversubscription. `threads`: 0 (default) = shared pool, 1 = inline on
-/// the calling thread; other values are a deprecated compatibility hint
-/// that also routes through the pool (the raw per-call std::thread path is
-/// gone). Results are bit-identical for a fixed options.seed regardless of
-/// threads because per-trial seeds are derived before scheduling.
+/// One run of a priced program: run_bsp or run_des.
+using TrialEngine = RunResult (*)(const PricedProgram&, const EngineOptions&);
+
+/// Run `trials` replications of `engine` with `options`, each under its own
+/// seed derived from options.seed before any trial is scheduled. `threads`
+/// 1 runs them inline; any other value runs one task per trial on the
+/// shared util::TaskPool (composing with an enclosing run_dse sweep). The
+/// result is bit-identical whatever `threads` is. Throws
+/// std::invalid_argument on zero trials.
+[[nodiscard]] EnsembleResult run_trials(const AppBEO& app, const ArchBEO& arch,
+                                        const EngineOptions& options,
+                                        std::size_t trials, unsigned threads,
+                                        TrialEngine engine);
+
+/// run_trials of the coarse engine with monte_carlo forced on: each trial
+/// draws fresh model noise (and, when enabled, a fresh fault timeline).
 [[nodiscard]] EnsembleResult run_ensemble(const AppBEO& app,
                                           const ArchBEO& arch,
                                           EngineOptions options,
                                           std::size_t trials,
                                           unsigned threads = 0);
+
+/// The first field in which two runs differ bit for bit, or "" when they
+/// are identical. Every prediction field is compared, fault-log bytes
+/// included; the sim_events diagnostic is not (folding changes it).
+[[nodiscard]] std::string bit_difference(const RunResult& a,
+                                         const RunResult& b);
+
+/// The first field in which two ensembles differ bit for bit, or "" when
+/// they are identical. Every field is compared, fault-log bytes included.
+[[nodiscard]] std::string bit_difference(const EnsembleResult& a,
+                                         const EnsembleResult& b);
 
 }  // namespace ftbesst::core

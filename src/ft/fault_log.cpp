@@ -13,7 +13,9 @@ namespace ftbesst::ft {
 
 namespace {
 
-constexpr std::string_view kFaultLogMagic = "ftbesst-faultlog v1";
+constexpr std::string_view kFaultLogMagicV1 = "ftbesst-faultlog v1";
+constexpr std::string_view kFaultLogMagicV2 = "ftbesst-faultlog v2";
+constexpr std::string_view kTrialsKey = "trials ";
 
 // Shortest round-trip double formatting (same convention as the scenario
 // text format): what we print parses back to the identical bits.
@@ -74,8 +76,13 @@ void FaultLog::append_trial(const FaultLog& other, std::int64_t trial) {
 }
 
 std::string FaultLog::to_text() const {
-  std::string out(kFaultLogMagic);
+  std::string out(trials_ > 0 ? kFaultLogMagicV2 : kFaultLogMagicV1);
   out += '\n';
+  if (trials_ > 0) {
+    out += kTrialsKey;
+    out += std::to_string(trials_);
+    out += '\n';
+  }
   for (const FaultRecord& r : records_) {
     out += std::to_string(r.trial);
     out += ' ';
@@ -100,18 +107,31 @@ std::string FaultLog::to_text() const {
 FaultLog FaultLog::from_text(std::string_view text) {
   FaultLog log;
   std::size_t pos = 0;
-  bool saw_magic = false;
+  std::size_t line_no = 0;
+  bool v2 = false;
   while (pos <= text.size()) {
     const std::size_t eol = text.find('\n', pos);
     std::string_view line = text.substr(
         pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
     pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    if (!saw_magic) {
-      if (line != kFaultLogMagic)
+    ++line_no;
+    if (line_no == 1) {
+      v2 = line == kFaultLogMagicV2;
+      if (!v2 && line != kFaultLogMagicV1)
         throw std::invalid_argument(
             "faultlog: bad magic line (expected '" +
-            std::string(kFaultLogMagic) + "')");
-      saw_magic = true;
+            std::string(kFaultLogMagicV2) + "' or '" +
+            std::string(kFaultLogMagicV1) + "')");
+      continue;
+    }
+    if (v2 && line_no == 2) {
+      const std::int64_t trials =
+          line.starts_with(kTrialsKey)
+              ? parse_int_tok(line.substr(kTrialsKey.size())) : 0;
+      if (trials < 1)
+        throw std::invalid_argument(
+            "faultlog: v2 needs a 'trials N' line (N >= 1) after the magic");
+      log.trials_ = static_cast<std::size_t>(trials);
       continue;
     }
     if (line.empty()) continue;
@@ -132,10 +152,15 @@ FaultLog FaultLog::from_text(std::string_view text) {
     r.recovery_level = static_cast<int>(level);
     r.lost_work_seconds = parse_double_tok(tok[6]);
     r.restart_cost_seconds = parse_double_tok(tok[7]);
+    if (log.trials_ > 0 &&
+        (r.trial < 0 || static_cast<std::uint64_t>(r.trial) >= log.trials_))
+      throw std::invalid_argument("faultlog: record trial " +
+                                  std::to_string(r.trial) +
+                                  " outside the log's trials");
     log.add(r);
   }
-  if (!saw_magic)
-    throw std::invalid_argument("faultlog: empty input (no magic line)");
+  if (v2 && log.trials_ == 0)
+    throw std::invalid_argument("faultlog: v2 input has no 'trials' line");
   return log;
 }
 
@@ -154,6 +179,13 @@ void FaultLog::write_csv(std::ostream& os) const {
 }
 
 std::vector<FaultEvent> FaultLog::to_trace(std::int64_t trial) const {
+  if (trial < 0 ||
+      (trials_ > 0 && static_cast<std::uint64_t>(trial) >= trials_))
+    throw std::out_of_range(
+        "faultlog: trial " + std::to_string(trial) + " is not in the log" +
+        (trials_ > 0 ? " (it holds trials 0.." + std::to_string(trials_ - 1) +
+                           ")"
+                     : std::string()));
   std::vector<FaultEvent> trace;
   for (const FaultRecord& r : records_) {
     if (r.trial != trial) continue;

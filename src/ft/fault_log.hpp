@@ -37,14 +37,20 @@ struct FaultRecord {
 
 /// Campaign-level record of every injected fault and its recovery outcome.
 /// Serializes to CSV (for analysis via the standard table writers) and to a
-/// versioned text format (`ftbesst-faultlog v1`) the injector re-ingests
-/// for exact replay: `to_trace(trial)` recovers the FaultEvent sequence of
-/// one trial, suitable for EngineOptions::fault_trace.
+/// versioned text format the injector re-ingests for exact replay:
+/// `to_trace(trial)` recovers the FaultEvent sequence of one trial, suitable
+/// for EngineOptions::fault_trace. A campaign log knows how many trials it
+/// covers (trials with no fault have no record) and is written as
+/// `ftbesst-faultlog v2` with a `trials N` line; a single run's log, whose
+/// trial count is unset, is written as `ftbesst-faultlog v1`.
 class FaultLog {
  public:
   void add(FaultRecord record) { records_.push_back(record); }
   /// Append another log's records re-tagged with trial id `trial`.
   void append_trial(const FaultLog& other, std::int64_t trial);
+  /// The number of trials the log covers; 0 = unknown (a v1 log).
+  void set_trials(std::size_t trials) noexcept { trials_ = trials; }
+  [[nodiscard]] std::size_t trials() const noexcept { return trials_; }
 
   [[nodiscard]] const std::vector<FaultRecord>& records() const noexcept {
     return records_;
@@ -55,19 +61,23 @@ class FaultLog {
   /// Stable, re-ingestable text form. Doubles are emitted with shortest
   /// round-trip formatting so from_text(to_text(log)) is bit-exact.
   [[nodiscard]] std::string to_text() const;
-  /// Strict parser for to_text output; throws std::invalid_argument on a
-  /// bad magic line, malformed record, or unknown failure kind.
+  /// Strict parser for to_text output (v1 or v2); throws
+  /// std::invalid_argument on a bad magic or trials line, a malformed
+  /// record, an unknown failure kind, or a v2 record whose trial is out of
+  /// range.
   [[nodiscard]] static FaultLog from_text(std::string_view text);
 
   /// CSV export via the standard table writer (header + one row per fault).
   void write_csv(std::ostream& os) const;
 
   /// The fault schedule of one trial, time-ordered, ready to be replayed
-  /// through EngineOptions::fault_trace.
+  /// through EngineOptions::fault_trace. Throws std::out_of_range on a
+  /// negative trial, or on one at or past trials() when that is known.
   [[nodiscard]] std::vector<FaultEvent> to_trace(std::int64_t trial) const;
 
  private:
   std::vector<FaultRecord> records_;
+  std::size_t trials_ = 0;
 };
 
 struct FaultModelEstimate {

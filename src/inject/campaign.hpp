@@ -1,26 +1,17 @@
 #pragma once
-// Monte-Carlo fault-injection campaign driver.
+// Monte-Carlo fault-injection campaign: a mode of the one trial driver,
+// core::run_trials, with inject_faults forced on.
 //
-// A campaign replays the same application N times through the DES injection
-// engine, varying only the fault schedule seed per trial — model durations
-// stay deterministic unless the caller opts into full Monte-Carlo mode.
-// This isolates the *fault-induced* spread of the makespan distribution
-// (the quantity the Young/Daly closed form prices in expectation), which
-// run_ensemble cannot do: it forces monte_carlo on and convolves timing
-// noise into every trial.
-//
-// Per-trial seeds are derived from the campaign seed before any trial is
-// scheduled, and trials run as independent tasks on the shared
-// util::TaskPool, so campaign results are bit-identical for a fixed seed
-// at any thread count.
+// A campaign replays the same application N times, by default through the
+// DES, varying only the fault schedule seed per trial: model durations stay
+// deterministic unless monte_carlo is opted into. This isolates the
+// fault-induced makespan spread that the Young/Daly closed form prices in
+// expectation. A coarse campaign with monte_carlo on is exactly
+// run_ensemble with inject_faults on.
 
-#include <array>
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
-#include "core/engine_bsp.hpp"
-#include "ft/fault_log.hpp"
-#include "util/stats.hpp"
+#include "core/montecarlo.hpp"
 
 namespace ftbesst::inject {
 
@@ -37,21 +28,9 @@ struct CampaignOptions {
   bool use_des = true;
 };
 
-struct CampaignResult {
-  util::Summary total;         ///< makespan distribution over trials (s)
-  std::vector<double> totals;  ///< per-trial makespans
-  double p10 = 0.0, p50 = 0.0, p90 = 0.0;  ///< makespan quantiles (s)
-  double mean_faults = 0.0;
-  double mean_rollbacks = 0.0;
-  double mean_full_restarts = 0.0;
-  double mean_lost_work = 0.0;  ///< mean discarded execution per trial (s)
-  /// Mean rollbacks that restored a level-L checkpoint, at index L-1.
-  std::array<double, 4> mean_recoveries_by_level{};
-  std::size_t incomplete_trials = 0;  ///< trials that hit the horizon
-  /// Every trial's fault records, re-tagged with the trial index.
-  /// Re-ingestable: FaultLog::to_trace(trial) + EngineOptions::fault_trace
-  /// replays any single trial exactly.
-  ft::FaultLog fault_log;
+/// The ensemble aggregate plus the makespan quantiles (s).
+struct CampaignResult : core::EnsembleResult {
+  double p10 = 0.0, p50 = 0.0, p90 = 0.0;
 };
 
 /// Run an injection campaign of `options.trials` trials. Throws

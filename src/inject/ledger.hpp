@@ -127,9 +127,9 @@ struct FaultTally {
   /// Successful rollbacks that restored a level-L checkpoint, at index L-1.
   std::array<int, 4> recoveries_by_level{};
   /// Per-fault campaign records (strike time, node, kind, recovery level
-  /// chosen, lost work, restart cost). Trial ids are 0 here; the ensemble
-  /// and campaign drivers re-tag per trial. Exportable as CSV and as the
-  /// replayable `ftbesst-faultlog v1` text format (ft/fault_log.hpp).
+  /// chosen, lost work, restart cost). Trial ids are 0 here; the trial
+  /// driver (core::run_trials) re-tags them per trial. Exportable as CSV
+  /// and as the replayable fault-log text format (ft/fault_log.hpp).
   ft::FaultLog fault_log;
 };
 

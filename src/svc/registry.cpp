@@ -343,8 +343,15 @@ Json op_predict(const Registry& registry, const Json& request) {
   return Json(std::move(out));
 }
 
-Json op_simulate(const Registry& registry, const Json& request) {
-  const WorkloadSpec spec = parse_workload(request);
+/// One simulate/inject point: the request's plan, size and ranks, checked
+/// against the bound kernels and built into an AppBEO on the prepared arch.
+struct PreparedPoint {
+  PreparedRun run;
+  core::AppBEO app;
+};
+
+PreparedPoint prepare_point(const Registry& registry, const WorkloadSpec& spec,
+                            const Json& request) {
   const std::vector<ft::PlanEntry> plan =
       core::parse_plan(request.string_or("plan", ""));
   const double size = request.number_or(
@@ -353,69 +360,55 @@ Json op_simulate(const Registry& registry, const Json& request) {
 
   const std::vector<core::Scenario> scenarios{{"request", plan}};
   require_kernels(registry.arch(), spec.app, scenarios);
-  const PreparedRun run = prepare_run(registry, spec, scenarios);
-  const core::AppBEO app = build_app(spec.app, plan, run.arch->fti(), size,
-                                     ranks, spec.timesteps);
-  const core::EnsembleResult ens =
-      core::run_ensemble(app, *run.arch, run.options, spec.trials);
-  return summarize_ensemble(ens);
+  PreparedRun run = prepare_run(registry, spec, scenarios);
+  core::AppBEO app = build_app(spec.app, plan, run.arch->fti(), size, ranks,
+                               spec.timesteps);
+  return {std::move(run), std::move(app)};
+}
+
+Json op_simulate(const Registry& registry, const Json& request) {
+  const WorkloadSpec spec = parse_workload(request);
+  const PreparedPoint point = prepare_point(registry, spec, request);
+  return summarize_ensemble(core::run_ensemble(
+      point.app, *point.run.arch, point.run.options, spec.trials));
 }
 
 Json op_inject(const Registry& registry, const Json& request) {
   const WorkloadSpec spec = parse_workload(request);
   if (spec.mtbf_hours <= 0.0)
     throw std::invalid_argument("inject needs mtbf_hours > 0");
-  const std::vector<ft::PlanEntry> plan =
-      core::parse_plan(request.string_or("plan", ""));
-  const double size = request.number_or(
-      spec.app == "lulesh" ? "epr" : "nx", spec.app == "lulesh" ? 15 : 32);
-  const double ranks = request.number_or("ranks", 64);
-
-  const std::vector<core::Scenario> scenarios{{"request", plan}};
-  require_kernels(registry.arch(), spec.app, scenarios);
-  const PreparedRun run = prepare_run(registry, spec, scenarios);
-  const core::AppBEO app = build_app(spec.app, plan, run.arch->fti(), size,
-                                     ranks, spec.timesteps);
+  const PreparedPoint point = prepare_point(registry, spec, request);
 
   inject::CampaignOptions opt;
   opt.trials = spec.trials;
-  opt.engine = run.options;
+  opt.engine = point.run.options;
   opt.use_des = request.int_or("use_des", 1) != 0;
   // Bound the simulation horizon from a clean deterministic run (same
   // formula as verify::build). The DES materializes each node's fault
   // schedule across the whole horizon, so leaving the 1e8-second default
   // in place would sample millions of never-reached faults per trial at
   // service-scale MTBFs.
-  core::EngineOptions clean = run.options;
+  core::EngineOptions clean = point.run.options;
   clean.inject_faults = false;
   clean.monte_carlo = false;
   const double clean_estimate =
-      core::run_bsp(app, *run.arch, clean).total_seconds;
+      core::run_bsp(point.app, *point.run.arch, clean).total_seconds;
   opt.engine.max_sim_seconds =
       1000.0 * (clean_estimate + 10.0 * spec.downtime + 1.0);
   const inject::CampaignResult res =
-      inject::run_campaign(app, *run.arch, opt);
+      inject::run_campaign(point.app, *point.run.arch, opt);
 
-  JsonObject out;
-  out["trials"] = Json(res.totals.size());
-  out["mean"] = Json(res.total.mean);
-  out["stddev"] = Json(res.total.stddev);
-  out["min"] = Json(res.total.min);
-  out["max"] = Json(res.total.max);
-  out["median"] = Json(res.total.median);
-  out["p10"] = Json(res.p10);
-  out["p90"] = Json(res.p90);
-  out["mean_faults"] = Json(res.mean_faults);
-  out["mean_rollbacks"] = Json(res.mean_rollbacks);
-  out["mean_full_restarts"] = Json(res.mean_full_restarts);
-  out["mean_lost_work"] = Json(res.mean_lost_work);
+  // The ensemble summary (its p10/p90 are the campaign's) plus the
+  // injection statistics.
+  Json out = summarize_ensemble(res);
+  JsonObject& fields = out.as_object();
+  fields["mean_lost_work"] = Json(res.mean_lost_work);
   JsonArray recoveries;
   for (const double r : res.mean_recoveries_by_level)
     recoveries.push_back(Json(r));
-  out["mean_recoveries_by_level"] = Json(std::move(recoveries));
-  out["incomplete_trials"] = Json(res.incomplete_trials);
-  out["fault_records"] = Json(res.fault_log.size());
-  return Json(std::move(out));
+  fields["mean_recoveries_by_level"] = Json(std::move(recoveries));
+  fields["fault_records"] = Json(res.fault_log.size());
+  return out;
 }
 
 std::vector<core::Scenario> parse_scenarios(const Json& request,

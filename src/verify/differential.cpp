@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -26,21 +25,7 @@ bool rel_close(double a, double b, double rel, double abs_slack = 0.0) {
          rel * (1.0 + std::abs(a) + std::abs(b)) + abs_slack;
 }
 
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
-
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bits_equal(a[i], b[i])) return false;
-  return true;
-}
-
-std::string pair_detail(const char* what, double a, const char* a_name,
+std::string pair_detail(const std::string& what, double a, const char* a_name,
                         double b, const char* b_name) {
   std::string d(what);
   d += ": ";
@@ -155,30 +140,13 @@ void check_fold(const Scenario& s, const BuildOverrides& overrides,
   const core::RunResult unfolded = core::run_des(built.app, built.arch,
                                                  built.options);
   ++report.fold_checks;
-  if (!bits_equal(folded.total_seconds, unfolded.total_seconds)) {
+  if (const std::string field = core::bit_difference(folded, unfolded);
+      !field.empty()) {
     add_failure(report, "fold_vs_unfold",
-                pair_detail("total not bit-identical", folded.total_seconds,
-                            "folded", unfolded.total_seconds, "unfolded"),
+                pair_detail("not bit-identical in " + field,
+                            folded.total_seconds, "folded",
+                            unfolded.total_seconds, "unfolded"),
                 clean);
-    return;
-  }
-  if (!bits_equal(folded.timestep_end_times, unfolded.timestep_end_times)) {
-    add_failure(report, "fold_vs_unfold",
-                "timestep trace not bit-identical", clean);
-    return;
-  }
-  if (folded.checkpoint_timesteps != unfolded.checkpoint_timesteps) {
-    add_failure(report, "fold_vs_unfold",
-                "checkpoint timesteps differ", clean);
-    return;
-  }
-  if (folded.instructions_executed != unfolded.instructions_executed ||
-      folded.completed != unfolded.completed ||
-      folded.faults != unfolded.faults ||
-      folded.rollbacks != unfolded.rollbacks ||
-      folded.full_restarts != unfolded.full_restarts) {
-    add_failure(report, "fold_vs_unfold",
-                "scaled counters or completion status differ", clean);
     return;
   }
   if (folded.sim_events > unfolded.sim_events)
@@ -200,22 +168,11 @@ void check_threads(const Scenario& s, const BuildOverrides& overrides,
   const core::EnsembleResult many =
       core::run_ensemble(built.app, built.arch, built.options, trials, 4);
   ++report.thread_checks;
-  const bool same =
-      one.total.count == many.total.count &&
-      bits_equal(one.total.mean, many.total.mean) &&
-      bits_equal(one.total.stddev, many.total.stddev) &&
-      bits_equal(one.total.min, many.total.min) &&
-      bits_equal(one.total.max, many.total.max) &&
-      bits_equal(one.total.median, many.total.median) &&
-      bits_equal(one.totals, many.totals) &&
-      bits_equal(one.mean_timestep_end, many.mean_timestep_end) &&
-      bits_equal(one.mean_faults, many.mean_faults) &&
-      bits_equal(one.mean_rollbacks, many.mean_rollbacks) &&
-      bits_equal(one.mean_full_restarts, many.mean_full_restarts) &&
-      one.incomplete_trials == many.incomplete_trials;
-  if (!same)
+  if (const std::string field = core::bit_difference(one, many);
+      !field.empty())
     add_failure(report, "thread_bits",
-                pair_detail("ensemble not bit-identical across threads",
+                pair_detail("ensemble not bit-identical across threads in " +
+                                field,
                             one.total.mean, "threads1_mean",
                             many.total.mean, "threadsN_mean"),
                 s);
@@ -316,20 +273,11 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
     built.options.fold_symmetry = false;
     const core::RunResult unfolded =
         core::run_des(built.app, built.arch, built.options);
-    if (!bits_equal(folded.total_seconds, unfolded.total_seconds) ||
-        !bits_equal(folded.timestep_end_times,
-                    unfolded.timestep_end_times) ||
-        folded.checkpoint_timesteps != unfolded.checkpoint_timesteps ||
-        folded.instructions_executed != unfolded.instructions_executed ||
-        !bits_equal(folded.lost_work_seconds, unfolded.lost_work_seconds) ||
-        folded.faults != unfolded.faults ||
-        folded.rollbacks != unfolded.rollbacks ||
-        folded.full_restarts != unfolded.full_restarts ||
-        folded.recoveries_by_level != unfolded.recoveries_by_level ||
-        folded.completed != unfolded.completed ||
-        folded.fault_log.to_text() != unfolded.fault_log.to_text()) {
+    if (const std::string field = core::bit_difference(folded, unfolded);
+        !field.empty()) {
       add_failure(report, "inject_fold",
-                  pair_detail("injected fold-vs-unfold not bit-identical",
+                  pair_detail("injected fold-vs-unfold not bit-identical in " +
+                                  field,
                               folded.total_seconds, "folded",
                               unfolded.total_seconds, "unfolded"),
                   det);
@@ -348,14 +296,11 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
     copt.threads = 4;
     const inject::CampaignResult many =
         inject::run_campaign(built.app, built.arch, copt);
-    if (!bits_equal(one.totals, many.totals) ||
-        !bits_equal(one.mean_lost_work, many.mean_lost_work) ||
-        !bits_equal(one.mean_faults, many.mean_faults) ||
-        one.incomplete_trials != many.incomplete_trials ||
-        one.fault_log.size() != many.fault_log.size()) {
+    if (const std::string field = core::bit_difference(one, many);
+        !field.empty()) {
       add_failure(report, "inject_threads",
                   pair_detail("injection campaign not bit-identical across "
-                              "threads",
+                              "threads in " + field,
                               one.total.mean, "threads1_mean",
                               many.total.mean, "threads4_mean"),
                   det);

@@ -21,17 +21,18 @@
 //    Totals and the per-timestep trace are both checked.
 //  * run_des folded vs unfolded (clean, deterministic): bit-identical —
 //    symmetry folding (sim/fold.hpp) is a pure execution-cost optimization
-//    and must never change a prediction. Totals, the per-timestep trace,
-//    checkpoint counts, and scaled instruction counters are all compared;
-//    the folded run must also process no more events than the unfolded one.
-//  * run_ensemble threads 1 vs N: bit-identical (memcmp on every double).
+//    and must never change a prediction. Every field core::bit_difference
+//    compares must match; the folded run must also process no more events
+//    than the unfolded one.
+//  * run_ensemble threads 1 vs N: bit-identical in every field
+//    core::bit_difference compares, the fault-log bytes included.
 //  * Young/Daly expected runtime vs ensemble mean (eligible fault
 //    scenarios): within a x1.6 multiplicative band — first-order waste
 //    model vs simulated rollback, so only the scale must match.
 //  * in-simulation injection (src/inject, every fault scenario):
 //    injected run_des folded vs unfolded bit-identical (coordinated
 //    rollback keeps fold groups symmetric); injection campaign threads
-//    1 vs 4 bit-identical; and, on Young/Daly-eligible scenarios, the
+//    1 vs 4 bit-identical (the same comparisons); and, on Young/Daly-eligible scenarios, the
 //    campaign mean makespan within the same x1.6 band.
 
 #include <cstdint>

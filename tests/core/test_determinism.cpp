@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 
 #include "core/arch.hpp"
@@ -44,27 +43,6 @@ AppBEO make_app(int timesteps, int period, std::int64_t ranks = 4) {
   return app;
 }
 
-/// Bitwise double equality — "within rounding error" is not the contract.
-bool bits_equal(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void expect_bit_identical(const EnsembleResult& a, const EnsembleResult& b) {
-  ASSERT_EQ(a.totals.size(), b.totals.size());
-  for (std::size_t i = 0; i < a.totals.size(); ++i)
-    EXPECT_TRUE(bits_equal(a.totals[i], b.totals[i])) << "trial " << i;
-  ASSERT_EQ(a.mean_timestep_end.size(), b.mean_timestep_end.size());
-  for (std::size_t i = 0; i < a.mean_timestep_end.size(); ++i)
-    EXPECT_TRUE(bits_equal(a.mean_timestep_end[i], b.mean_timestep_end[i]))
-        << "timestep " << i;
-  EXPECT_TRUE(bits_equal(a.total.mean, b.total.mean));
-  EXPECT_TRUE(bits_equal(a.total.stddev, b.total.stddev));
-  EXPECT_TRUE(bits_equal(a.mean_faults, b.mean_faults));
-  EXPECT_TRUE(bits_equal(a.mean_rollbacks, b.mean_rollbacks));
-  EXPECT_TRUE(bits_equal(a.mean_full_restarts, b.mean_full_restarts));
-  EXPECT_EQ(a.incomplete_trials, b.incomplete_trials);
-}
-
 TEST(Determinism, EnsembleSerialVsPoolBitIdentical) {
   const ArchBEO arch = make_arch();
   const AppBEO app = make_app(30, 5);
@@ -73,8 +51,8 @@ TEST(Determinism, EnsembleSerialVsPoolBitIdentical) {
   const auto serial = run_ensemble(app, arch, opt, 24, /*threads=*/1);
   const auto pooled = run_ensemble(app, arch, opt, 24, /*threads=*/0);
   const auto hinted = run_ensemble(app, arch, opt, 24, /*threads=*/4);
-  expect_bit_identical(serial, pooled);
-  expect_bit_identical(serial, hinted);
+  EXPECT_EQ(bit_difference(serial, pooled), "");
+  EXPECT_EQ(bit_difference(serial, hinted), "");
 }
 
 TEST(Determinism, EnsembleWithFaultInjectionBitIdentical) {
@@ -89,7 +67,7 @@ TEST(Determinism, EnsembleWithFaultInjectionBitIdentical) {
   opt.downtime_seconds = 1.0;
   const auto serial = run_ensemble(app, arch, opt, 16, /*threads=*/1);
   const auto pooled = run_ensemble(app, arch, opt, 16, /*threads=*/0);
-  expect_bit_identical(serial, pooled);
+  EXPECT_EQ(bit_difference(serial, pooled), "");
   EXPECT_GT(serial.mean_faults, 0.0);  // the scenario actually faulted
 }
 
@@ -118,7 +96,7 @@ TEST(Determinism, DseSerialVsPoolBitIdentical) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].scenario, pooled[i].scenario) << "point " << i;
     EXPECT_EQ(serial[i].params, pooled[i].params) << "point " << i;
-    expect_bit_identical(serial[i].ensemble, pooled[i].ensemble);
+    EXPECT_EQ(bit_difference(serial[i].ensemble, pooled[i].ensemble), "");
   }
 }
 

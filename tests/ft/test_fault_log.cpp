@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace ftbesst::ft {
@@ -76,6 +79,74 @@ TEST(EstimateFaultModel, CrashOnlyLogGivesZeroLossFraction) {
   EXPECT_DOUBLE_EQ(est.node_loss_fraction, 0.0);
   EXPECT_DOUBLE_EQ(est.system_mtbf, 10.0);
   EXPECT_DOUBLE_EQ(est.node_mtbf, 80.0);
+}
+
+FaultLog two_trial_log() {
+  FaultRecord first;
+  first.time = 12.5;
+  first.node = 3;
+  first.recovery_level = 2;
+  first.lost_work_seconds = 0.1;
+  FaultRecord second = first;
+  second.time = 7.25;
+  second.kind = FailureKind::kSilentCorruption;
+  second.detect_after = 1.0 / 3.0;
+  FaultLog trial;
+  trial.add(first);
+  trial.add(second);
+  FaultLog log;
+  log.append_trial(trial, 1);  // trial 0 and trial 2 recorded no fault
+  log.set_trials(3);
+  return log;
+}
+
+TEST(FaultLogText, V2RoundTripKeepsTheTrialCount) {
+  const FaultLog log = two_trial_log();
+  const std::string text = log.to_text();
+  EXPECT_EQ(text.rfind("ftbesst-faultlog v2\ntrials 3\n", 0), 0u) << text;
+  const FaultLog back = FaultLog::from_text(text);
+  EXPECT_EQ(back.trials(), 3u);
+  EXPECT_EQ(back.to_text(), text);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back.records()[1].detect_after, 1.0 / 3.0);
+  // Time-ordered; an in-range trial without records replays as no faults.
+  const auto trace = back.to_trace(1);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].time, 7.25);
+  EXPECT_TRUE(back.to_trace(2).empty());
+}
+
+TEST(FaultLogText, V1StillParses) {
+  const FaultLog log = FaultLog::from_text(
+      "ftbesst-faultlog v1\n"
+      "0 4.5 1 loss 0 0 4.5 0\n"
+      "5 9 2 crash 0 1 1.5 0.25\n");
+  EXPECT_EQ(log.trials(), 0u);  // unknown
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.to_trace(5).size(), 1u);
+  // Without a trial count only a negative index is known to be bad.
+  EXPECT_TRUE(log.to_trace(99).empty());
+  EXPECT_THROW((void)log.to_trace(-1), std::out_of_range);
+  // A log without a count is written back as v1.
+  EXPECT_EQ(log.to_text().rfind("ftbesst-faultlog v1\n", 0), 0u);
+}
+
+TEST(FaultLogText, OutOfRangeTrialsThrow) {
+  const FaultLog log = two_trial_log();
+  EXPECT_THROW((void)log.to_trace(3), std::out_of_range);
+  EXPECT_THROW((void)log.to_trace(99), std::out_of_range);
+  EXPECT_THROW((void)log.to_trace(-1), std::out_of_range);
+  // The parser holds v2 records to the declared count.
+  EXPECT_THROW((void)FaultLog::from_text("ftbesst-faultlog v2\ntrials 2\n"
+                                         "2 4.5 1 loss 0 0 4.5 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultLog::from_text("ftbesst-faultlog v2\n"
+                                         "0 4.5 1 loss 0 0 4.5 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultLog::from_text("ftbesst-faultlog v2\ntrials 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultLog::from_text("ftbesst-faultlog v3\n"),
+               std::invalid_argument);
 }
 
 }  // namespace

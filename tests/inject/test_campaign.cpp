@@ -1,5 +1,6 @@
-// Campaign driver: thread-count invariance, argument validation, and the
-// Young/Daly acceptance leg over the golden corpus machines.
+// Campaign driver: thread-count invariance, identity with the injected
+// ensemble, argument validation, and the Young/Daly acceptance leg over the
+// golden corpus machines.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "core/arch.hpp"
 #include "core/engine_des.hpp"
+#include "core/montecarlo.hpp"
 #include "inject/campaign.hpp"
 #include "net/topology.hpp"
 #include "support/test_seed.hpp"
@@ -56,20 +58,32 @@ TEST(Campaign, BitIdenticalAcrossThreadCounts) {
   const CampaignResult a = run_campaign(make_app(), make_arch(), opt);
   opt.threads = 4;
   const CampaignResult b = run_campaign(make_app(), make_arch(), opt);
-  ASSERT_EQ(a.totals.size(), b.totals.size());
-  for (std::size_t i = 0; i < a.totals.size(); ++i)
-    EXPECT_EQ(std::memcmp(&a.totals[i], &b.totals[i], sizeof(double)), 0)
-        << "trial " << i;
-  EXPECT_EQ(a.total.mean, b.total.mean);
+  EXPECT_EQ(core::bit_difference(a, b), "");
   EXPECT_EQ(a.p10, b.p10);
   EXPECT_EQ(a.p50, b.p50);
   EXPECT_EQ(a.p90, b.p90);
-  EXPECT_EQ(a.mean_faults, b.mean_faults);
-  EXPECT_EQ(a.mean_lost_work, b.mean_lost_work);
-  EXPECT_EQ(a.mean_recoveries_by_level, b.mean_recoveries_by_level);
-  EXPECT_EQ(a.incomplete_trials, b.incomplete_trials);
-  ASSERT_EQ(a.fault_log.size(), b.fault_log.size());
-  EXPECT_EQ(a.fault_log.to_text(), b.fault_log.to_text());
+  EXPECT_GT(a.fault_log.size(), 0u);
+}
+
+// A campaign is a mode of the one trial driver: on the coarse engine with
+// monte_carlo on it is exactly run_ensemble with inject_faults on, every
+// field and fault-log byte included.
+TEST(Campaign, CoarseMonteCarloCampaignIsTheInjectedEnsemble) {
+  core::ArchBEO arch = make_arch();
+  arch.bind_kernel("work", std::make_shared<model::NoisyModel>(
+                               std::make_shared<model::ConstantModel>(10.0),
+                               0.2));
+  CampaignOptions opt = base_options(test::test_seed(31));
+  opt.use_des = false;
+  opt.engine.monte_carlo = true;
+  const CampaignResult campaign = run_campaign(make_app(), arch, opt);
+  core::EngineOptions engine = opt.engine;
+  engine.inject_faults = true;
+  const core::EnsembleResult ensemble =
+      core::run_ensemble(make_app(), arch, engine, opt.trials);
+  EXPECT_EQ(core::bit_difference(campaign, ensemble), "");
+  EXPECT_GT(campaign.fault_log.size(), 0u);
+  EXPECT_EQ(campaign.fault_log.trials(), opt.trials);
 }
 
 TEST(Campaign, DesAndBspBackendsBothComplete) {
@@ -93,6 +107,8 @@ TEST(Campaign, PerTrialFaultLogIsReplayable) {
   opt.threads = 1;
   const CampaignResult res = run_campaign(make_app(), make_arch(), opt);
   ASSERT_GT(res.fault_log.size(), 0u);
+  EXPECT_EQ(res.fault_log.trials(), 4u);
+  EXPECT_THROW((void)res.fault_log.to_trace(4), std::out_of_range);
   // Records are tagged with their trial; replaying one trial's trace
   // through the engine reproduces that trial's makespan exactly.
   for (std::size_t t = 0; t < 4; ++t) {

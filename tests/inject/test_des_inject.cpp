@@ -14,6 +14,7 @@
 #include "core/arch.hpp"
 #include "core/engine_bsp.hpp"
 #include "core/engine_des.hpp"
+#include "core/montecarlo.hpp"
 #include "inject/sdc.hpp"
 #include "net/topology.hpp"
 #include "support/test_seed.hpp"
@@ -55,12 +56,6 @@ ft::FaultEvent event(ft::FailureKind kind, double t,
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-std::vector<std::uint64_t> bits(const std::vector<double>& v) {
-  std::vector<std::uint64_t> out;
-  for (double x : v) out.push_back(bits(x));
-  return out;
-}
-
 // The recovery outcome, bit for bit: tallies, completion and the fault-log
 // bytes. Both engines resolve faults through inject::resolve_fault, so this
 // holds across engines too.
@@ -72,15 +67,6 @@ void expect_same_recovery(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.recoveries_by_level, b.recoveries_by_level);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.fault_log.to_text(), b.fault_log.to_text());
-}
-
-// Every RunResult field except the sim_events diagnostic, bit for bit.
-void expect_bit_identical(const RunResult& a, const RunResult& b) {
-  expect_same_recovery(a, b);
-  EXPECT_EQ(bits(a.total_seconds), bits(b.total_seconds));
-  EXPECT_EQ(bits(a.timestep_end_times), bits(b.timestep_end_times));
-  EXPECT_EQ(a.checkpoint_timesteps, b.checkpoint_timesteps);
-  EXPECT_EQ(a.instructions_executed, b.instructions_executed);
 }
 
 // Coarse vs DES: the same recovery; the makespan agrees up to the DES
@@ -137,7 +123,7 @@ TEST(DesInject, FoldedInjectedRunIsBitIdenticalToUnfolded) {
     const RunResult folded = run_des(make_app(), arch, opt);
     opt.fold_symmetry = false;
     const RunResult unfolded = run_des(make_app(), arch, opt);
-    expect_bit_identical(folded, unfolded);
+    EXPECT_EQ(bit_difference(folded, unfolded), "");
     EXPECT_LT(folded.sim_events, unfolded.sim_events);
     EXPECT_TRUE(folded.completed);
     faults += folded.faults;
@@ -180,7 +166,7 @@ TEST(DesInject, Folded1000RankInjectedLuleshIsBitIdenticalToUnfolded) {
   const RunResult folded = run_des(app, arch, opt);
   opt.fold_symmetry = false;
   const RunResult unfolded = run_des(app, arch, opt);
-  expect_bit_identical(folded, unfolded);
+  EXPECT_EQ(bit_difference(folded, unfolded), "");
   EXPECT_GT(folded.faults, 0);
   EXPECT_LT(folded.sim_events * 100, unfolded.sim_events);
 }
@@ -220,7 +206,7 @@ TEST(DesInject, DumpedFaultLogReplaysBitIdentically) {
   replay.fault_trace = log.to_trace(0);
   ASSERT_EQ(replay.fault_trace->size(), sampled.fault_log.size());
   const RunResult again = run_des(make_app(), arch, replay);
-  expect_bit_identical(sampled, again);
+  EXPECT_EQ(bit_difference(sampled, again), "");
 }
 
 }  // namespace

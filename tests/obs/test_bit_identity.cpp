@@ -64,22 +64,6 @@ core::AppBEO make_app(int timesteps, int period) {
   return app;
 }
 
-void expect_bit_identical(const core::EnsembleResult& a,
-                          const core::EnsembleResult& b) {
-  ASSERT_EQ(a.totals.size(), b.totals.size());
-  for (std::size_t i = 0; i < a.totals.size(); ++i)
-    EXPECT_TRUE(bits_equal(a.totals[i], b.totals[i])) << "trial " << i;
-  ASSERT_EQ(a.mean_timestep_end.size(), b.mean_timestep_end.size());
-  for (std::size_t i = 0; i < a.mean_timestep_end.size(); ++i)
-    EXPECT_TRUE(bits_equal(a.mean_timestep_end[i], b.mean_timestep_end[i]))
-        << "timestep " << i;
-  EXPECT_TRUE(bits_equal(a.total.mean, b.total.mean));
-  EXPECT_TRUE(bits_equal(a.total.stddev, b.total.stddev));
-  EXPECT_TRUE(bits_equal(a.mean_faults, b.mean_faults));
-  EXPECT_TRUE(bits_equal(a.mean_rollbacks, b.mean_rollbacks));
-  EXPECT_EQ(a.incomplete_trials, b.incomplete_trials);
-}
-
 TEST_F(BitIdentityTest, EnsembleObsOnVsOffBitIdentical) {
   const core::ArchBEO arch = make_arch();
   const core::AppBEO app = make_app(30, 5);
@@ -93,7 +77,7 @@ TEST_F(BitIdentityTest, EnsembleObsOnVsOffBitIdentical) {
   obs::enable(true);
   const auto on = core::run_ensemble(app, arch, opt, 24, /*threads=*/0);
 
-  expect_bit_identical(off, on);
+  EXPECT_EQ(core::bit_difference(off, on), "");
   EXPECT_GT(off.mean_faults, 0.0);  // the scenario actually faulted
   // And the instrumented run did record something.
   const auto snap = obs::scrape();

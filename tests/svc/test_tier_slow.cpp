@@ -158,6 +158,8 @@ TEST(TierChaos, KillNineMidSoakRespawnsReWarmsAndStaysClean) {
   ASSERT_GT(owned[victim], 0u);
   const pid_t victim_pid = tier.router->worker_pid(victim);
   ASSERT_GT(victim_pid, 0);
+  // The initial spawns count as respawns; a recovery must add one more.
+  const std::uint64_t respawns_before = tier.router->stats().respawns;
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 400;
@@ -198,12 +200,21 @@ TEST(TierChaos, KillNineMidSoakRespawnsReWarmsAndStaysClean) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   ASSERT_EQ(::kill(victim_pid, SIGKILL), 0);
 
-  // The router must notice, then respawn a fresh process.
-  EXPECT_TRUE(await([&] { return !tier.router->worker_healthy(victim); },
-                    30.0))
+  // The router must notice, then respawn a fresh process. Both waits poll
+  // for evidence that stays true once it happens: the slot's pid changes
+  // only when the router reaps or replaces the victim, whereas an unhealthy
+  // window can open and close between two polls.
+  EXPECT_TRUE(
+      await([&] { return tier.router->worker_pid(victim) != victim_pid; },
+            30.0))
       << "router never noticed the kill";
-  EXPECT_TRUE(await([&] { return tier.router->worker_healthy(victim); },
-                    120.0))
+  EXPECT_TRUE(await(
+                  [&] {
+                    return tier.router->worker_pid(victim) > 0 &&
+                           tier.router->worker_healthy(victim) &&
+                           tier.router->stats().respawns > respawns_before;
+                  },
+                  120.0))
       << "router never respawned the worker";
   EXPECT_NE(tier.router->worker_pid(victim), victim_pid);
 

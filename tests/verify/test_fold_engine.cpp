@@ -6,20 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <vector>
-
 #include "core/engine_des.hpp"
+#include "core/montecarlo.hpp"
 #include "verify/scenario.hpp"
 
 namespace ftbesst::verify {
 namespace {
-
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
 
 /// A symmetric machine big enough that folding has something to collapse:
 /// 16 identical ranks, halo exchange, allreduce, and a two-level plan.
@@ -45,22 +37,11 @@ core::RunResult price(const Scenario& s, bool fold) {
   return core::run_des(built.app, built.arch, built.options);
 }
 
-void expect_identical_predictions(const core::RunResult& a,
-                                  const core::RunResult& b) {
-  EXPECT_TRUE(bits_equal({a.total_seconds}, {b.total_seconds}));
-  EXPECT_TRUE(bits_equal(a.timestep_end_times, b.timestep_end_times));
-  EXPECT_EQ(a.checkpoint_timesteps, b.checkpoint_timesteps);
-  EXPECT_EQ(a.instructions_executed, b.instructions_executed);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.faults, b.faults);
-  EXPECT_EQ(a.rollbacks, b.rollbacks);
-}
-
 TEST(EngineFold, FoldedMatchesUnfoldedBitwiseWithFewerEvents) {
   const Scenario s = symmetric_scenario();
   const core::RunResult folded = price(s, true);
   const core::RunResult unfolded = price(s, false);
-  expect_identical_predictions(folded, unfolded);
+  EXPECT_EQ(core::bit_difference(folded, unfolded), "");
   // 16 identical ranks collapse to one representative.
   EXPECT_LT(folded.sim_events, unfolded.sim_events);
   EXPECT_GT(folded.sim_events, 0u);
@@ -75,7 +56,7 @@ TEST(EngineFold, MonteCarloDisablesFolding) {
   // Per-rank RNG streams make ranks non-equivalent: the fold flag must be
   // a no-op here, down to the event count.
   EXPECT_EQ(on.sim_events, off.sim_events);
-  expect_identical_predictions(on, off);
+  EXPECT_EQ(core::bit_difference(on, off), "");
 }
 
 TEST(EngineFold, DesNetworkDisablesFolding) {
@@ -90,7 +71,7 @@ TEST(EngineFold, DesNetworkDisablesFolding) {
   const core::RunResult off = run(false);
   // Ranks occupy concrete network positions: folding must stay off.
   EXPECT_EQ(on.sim_events, off.sim_events);
-  expect_identical_predictions(on, off);
+  EXPECT_EQ(core::bit_difference(on, off), "");
 }
 
 TEST(EngineFold, AsymmetricPlansStillFoldPerClass) {
@@ -101,7 +82,7 @@ TEST(EngineFold, AsymmetricPlansStillFoldPerClass) {
   s.ranks = 8;
   const core::RunResult folded = price(s, true);
   const core::RunResult unfolded = price(s, false);
-  expect_identical_predictions(folded, unfolded);
+  EXPECT_EQ(core::bit_difference(folded, unfolded), "");
   EXPECT_LT(folded.sim_events, unfolded.sim_events);
 }
 

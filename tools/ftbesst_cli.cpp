@@ -30,9 +30,10 @@
 //       .scenario machine/application description: N trials varying only
 //       the fault schedule, makespan distribution + per-level recovery
 //       statistics. --faultlog dumps the campaign's fault records in the
-//       replayable `ftbesst-faultlog v1` text format (--faultlog-csv as
+//       replayable `ftbesst-faultlog v2` text format (--faultlog-csv as
 //       CSV); --replay re-runs one recorded trial's schedule exactly
-//       (--trial selects it, default 0).
+//       (--trial selects it, default 0; an index outside the log's trials
+//       is an error).
 //
 //   ftbesst plan --node-mtbf-hours H --nodes N [--work-hours W]
 //       [--soft-fraction P] [--low-cost C1] [--high-cost C4] ...
@@ -548,15 +549,16 @@ int cmd_run_experiment(const util::ArgParser& args) {
                          cfg.get_int("machine", "ranks_per_node", 36)));
   arch.set_fti(fti);
 
-  // --- checkpoint plan ---
-  std::vector<ft::PlanEntry> plan;
+  // --- checkpoint plan: "L1 = 40" lines read as the plan text "L1:40" ---
+  std::string plan_text;
   for (const std::string& key : cfg.keys("plan")) {
-    if (key.size() < 2 || (key[0] != 'L' && key[0] != 'l'))
-      throw std::invalid_argument("[plan] keys must be L1..L4, got " + key);
-    const int level = std::stoi(key.substr(1));
-    plan.push_back({static_cast<ft::Level>(level),
-                    static_cast<int>(cfg.get_int("plan", key, 40))});
+    const std::string period = cfg.get_string("plan", key, "");
+    if (period.find(',') != std::string::npos)
+      throw std::invalid_argument("[plan] " + key +
+                                  " takes one period, got '" + period + "'");
+    plan_text += (plan_text.empty() ? "" : ",") + key + ":" + period;
   }
+  const std::vector<ft::PlanEntry> plan = core::parse_plan(plan_text);
 
   // --- application ---
   const std::string app_name = cfg.get_string("experiment", "app", "lulesh");
