@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/task_pool.hpp"
@@ -19,14 +21,36 @@ ModelSuite develop_models(
     const model::FitOptions& options) {
   if (calibration.empty())
     throw std::invalid_argument("no calibration datasets");
-  ModelSuite suite;
+  // One shared-pool task per kernel. Seeds are derived before submission
+  // and each fit writes its own slot, so the suite, assembled in map order
+  // afterwards, is the serial loop's for any pool width. A failure is kept
+  // in its kernel's slot too: wait() would rethrow whichever fit failed
+  // first in time, the serial loop the first in map order.
+  std::vector<model::FittedKernel> fitted(calibration.size());
+  std::vector<std::exception_ptr> errors(calibration.size());
+  util::TaskGroup group;
+  std::size_t slot = 0;
   for (const auto& [kernel, dataset] : calibration) {
     model::FitOptions per_kernel = options;
     // Decorrelate the per-kernel splits/searches deterministically.
     per_kernel.seed = options.seed ^ std::hash<std::string>{}(kernel);
-    auto fitted = model::fit_kernel_model(dataset, per_kernel);
-    suite.reports.push_back(KernelModelReport{kernel, fitted.report});
-    suite.kernels.emplace(kernel, std::move(fitted));
+    group.run([&fitted, &errors, data = &dataset, per_kernel, slot] {
+      try {
+        fitted[slot] = model::fit_kernel_model(*data, per_kernel);
+      } catch (...) {
+        errors[slot] = std::current_exception();
+      }
+    });
+    ++slot;
+  }
+  group.wait();
+  ModelSuite suite;
+  slot = 0;
+  for (const auto& [kernel, dataset] : calibration) {
+    if (errors[slot]) std::rethrow_exception(errors[slot]);
+    suite.reports.push_back(KernelModelReport{kernel, fitted[slot].report});
+    suite.kernels.emplace(kernel, std::move(fitted[slot]));
+    ++slot;
   }
   return suite;
 }

@@ -40,7 +40,10 @@ struct ModelSuite {
   void bind_into(ArchBEO& arch) const;
 };
 
-/// Fit models for every (kernel name -> calibration dataset) pair.
+/// Fit models for every (kernel name -> calibration dataset) pair, one
+/// shared-pool task per kernel. The suite is the same for any pool width;
+/// if fits fail, the first failing kernel in map order's exception is
+/// rethrown.
 [[nodiscard]] ModelSuite develop_models(
     const std::map<std::string, model::Dataset>& calibration,
     const model::FitOptions& options = {});

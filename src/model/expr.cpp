@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -269,19 +268,6 @@ Expr Genome::to_expr() const {
 int Genome::depth() const noexcept {
   std::size_t pos = 0;
   return genes_.empty() ? 0 : depth_at(genes_, pos);
-}
-
-void Genome::key(std::string& out) const {
-  out.clear();
-  for (const Gene& gene : genes_) {
-    out.push_back(static_cast<char>(gene.op));
-    if (gene.op == Op::kConst) {
-      const auto bits = std::bit_cast<std::uint64_t>(gene.value);
-      out.append(reinterpret_cast<const char*>(&bits), sizeof bits);
-    } else if (gene.op == Op::kVar) {
-      out.append(reinterpret_cast<const char*>(&gene.var), sizeof gene.var);
-    }
-  }
 }
 
 double Expr::eval(std::span<const double> vars) const {

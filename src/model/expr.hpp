@@ -142,13 +142,6 @@ class Genome {
   /// The same expression as a pointer tree.
   [[nodiscard]] Expr to_expr() const;
 
-  /// Exact memo key into `out`: per gene the op byte, then a constant's 8
-  /// bit-pattern bytes or a variable's 4 index bytes. Non-empty genomes
-  /// share a key exactly when their to_expr().to_sexpr() texts are equal
-  /// (+0.0/-0.0 and constants one ulp apart differ in both), except that
-  /// NaN constants, which no GP operator produces, key by their bits.
-  void key(std::string& out) const;
-
   [[nodiscard]] std::span<const Gene> genes() const noexcept { return genes_; }
   [[nodiscard]] std::size_t size() const noexcept { return genes_.size(); }
   [[nodiscard]] int depth() const noexcept;

@@ -5,9 +5,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
+#include "model/fitness_memo.hpp"
 #include "obs/obs.hpp"
 #include "util/stats.hpp"
 
@@ -188,19 +188,12 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     bool evaluated = false;
   };
 
-  // Fitness memo across the whole run, keyed by the genome's exact bytes.
-  // Crossover and mutation re-create the same offspring constantly; a hit
-  // skips compile + batch-eval + scaling. Only a hit on an earlier
-  // generation's entry counts as symreg.memo_hits; a repeat within one
-  // generation counts as neither a hit nor an eval.
-  struct Evaluated {
-    ScaledFit fit;
-    double fitness = 0.0;
-    std::size_t generation = 0;
-  };
-  std::unordered_map<std::string, Evaluated> memo;
-  std::size_t generation = 0;
-  std::string key;
+  // Fitness memo across the whole run (fitness_memo.hpp): a hit skips
+  // compile + batch-eval + scaling. Only a hit on an earlier generation's
+  // entry counts as symreg.memo_hits; a repeat within one generation counts
+  // as neither a hit nor an eval.
+  FitnessMemo memo;
+  std::uint32_t generation = 0;
   ExprProgram prog;
   std::vector<double> f;
   EvalScratch scratch;
@@ -214,23 +207,25 @@ SymRegResult SymbolicRegressor::fit(const Dataset& train,
     std::uint64_t memo_hits = 0;
     for (Individual& ind : inds) {
       if (ind.evaluated) continue;
-      ind.genome.key(key);
-      const auto [it, fresh] = memo.try_emplace(key);
-      Evaluated& entry = it->second;
+      const auto [index, fresh] = memo.find_or_add(ind.genome);
+      FitnessMemo::Entry& entry = memo[index];
       if (fresh) {
         ExprProgram::compile_into(ind.genome, prog);
         prog.eval_dataset(train, f, scratch);
-        entry.fit = linear_scale_fit(f, ry);
-        entry.fitness =
-            entry.fit.mape +
-            config_.parsimony * static_cast<double>(ind.genome.size());
+        const ScaledFit fit = linear_scale_fit(f, ry);
+        entry.scale = fit.scale;
+        entry.offset = fit.offset;
+        entry.mape = fit.mape;
         entry.generation = generation;
         ++evals;
       } else if (entry.generation != generation) {
         ++memo_hits;
       }
-      ind.fit = entry.fit;
-      ind.fitness = entry.fitness;
+      ind.fit = ScaledFit{entry.scale, entry.offset, entry.mape};
+      // Equal keys are equal genomes, so this is the fitness the first
+      // evaluation computed, bit for bit.
+      ind.fitness = entry.mape + config_.parsimony *
+                                     static_cast<double>(ind.genome.size());
       ind.evaluated = true;
     }
     if (obs::enabled()) {

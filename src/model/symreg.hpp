@@ -13,10 +13,12 @@
 // (for every candidate f we analytically choose a, b minimizing squared
 // error of a*f(x)+b — a standard trick that lets the GP concentrate on
 // shape rather than magnitude) plus a parsimony penalty, memoized for the
-// whole run under the genome's byte key. The returned model is the scaled
-// expression with the best held-out (test) MAPE seen across all
-// generations. A fit is serial, so its champion is the same on any thread
-// (docs/ARCHITECTURE.md, "Calibration pipeline", has the measurements).
+// whole run in an exact, compact FitnessMemo (fitness_memo.hpp). The
+// returned model is the scaled expression with the best held-out (test)
+// MAPE seen across all generations. A fit is serial, so its champion is the
+// same on any thread; core::develop_models runs one fit per kernel as
+// concurrent pool tasks (docs/ARCHITECTURE.md, "Calibration pipeline", has
+// the measurements).
 
 #include <cstdint>
 #include <optional>

@@ -332,7 +332,6 @@ Json op_predict(const Registry& registry, const Json& request) {
     JsonObject out;
     out["values"] = Json(std::move(out_values));
     out["model"] = Json(model.describe());
-    out["backend"] = Json(std::string("scalar"));  // wire compatibility
     return Json(std::move(out));
   }
 

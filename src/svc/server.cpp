@@ -120,10 +120,6 @@ void Server::describe(JsonObject& stats) {
   cache.emplace("entries", Json(c.entries));
   cache.emplace("bytes", Json(c.bytes));
   stats.emplace("name", Json(name_));
-  // Wire-compatible constants: ExprProgram has one batch evaluator, the
-  // scalar strip interpreter, on every host.
-  stats.emplace("eval_backend", Json(std::string("scalar")));
-  stats.emplace("avx2_supported", Json(false));
   stats.emplace("cache", Json(std::move(cache)));
 }
 

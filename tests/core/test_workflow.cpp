@@ -34,6 +34,38 @@ TEST(DevelopModels, FitsEveryKernelAndReports) {
   EXPECT_THROW(develop_models({}, opt), std::invalid_argument);
 }
 
+TEST(DevelopModels, FirstFailingKernelInMapOrderIsRethrown) {
+  // The kernels fit concurrently. Whichever fails first in time, the error
+  // is the one the serial loop met first: "a_negative"'s, not that of the
+  // empty datasets sorted after it, which fail sooner.
+  std::map<std::string, model::Dataset> calib;
+  calib.emplace("a_negative", linear_kernel_data(-0.5));
+  for (const char* name : {"b_empty", "c_empty", "d_empty", "e_empty"})
+    calib.emplace(name, model::Dataset({"x", "ranks"}));
+  calib.emplace("f_fine", linear_kernel_data(0.5));
+  model::FitOptions opt;
+  opt.method = model::ModelMethod::kPowerLaw;
+  for (int round = 0; round < 20; ++round) {
+    try {
+      (void)develop_models(calib, opt);
+      FAIL() << "develop_models accepted failing kernels";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "power-law fit needs positive responses");
+    }
+  }
+  calib.erase("a_negative");
+  EXPECT_THROW(
+      {
+        try {
+          (void)develop_models(calib, opt);
+        } catch (const std::invalid_argument& e) {
+          EXPECT_STREQ(e.what(), "empty dataset");
+          throw;
+        }
+      },
+      std::invalid_argument);
+}
+
 TEST(DevelopModels, BindIntoArch) {
   std::map<std::string, model::Dataset> calib;
   calib.emplace("k", linear_kernel_data(0.01));

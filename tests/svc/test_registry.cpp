@@ -110,7 +110,6 @@ TEST(Registry, PredictBatchPointsMatchPerPointPredict) {
     EXPECT_EQ(values[i].as_number(), single.find("value")->as_number())
         << "point " << points[i];
   }
-  EXPECT_EQ(batch.find("backend")->as_string(), "scalar");
 }
 
 TEST(Registry, PredictBatchRejectsMalformedPoints) {

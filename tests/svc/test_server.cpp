@@ -126,10 +126,6 @@ TEST(Server, StatsOpReportsCounters) {
   EXPECT_GE(reply.result.find("completed")->as_number(), 2.0);
   EXPECT_EQ(reply.result.find("cache")->find("hits")->as_number(), 1.0);
   EXPECT_EQ(reply.result.find("queue_capacity")->as_number(), 64.0);
-  // Constant backend keys, kept for wire compatibility.
-  EXPECT_EQ(reply.result.find("eval_backend")->as_string(), "scalar");
-  ASSERT_NE(reply.result.find("avx2_supported"), nullptr);
-  EXPECT_FALSE(reply.result.find("avx2_supported")->as_bool());
 }
 
 TEST(Server, ShutdownOpDrainsInFlightWorkThenStops) {
