@@ -16,24 +16,21 @@
 //     below 20x (the 48-rank machine is reported ungated: both of its runs
 //     finish in microseconds, where timing noise dominates).
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/engine_des.hpp"
 #include "core/montecarlo.hpp"
+#include "svc/json.hpp"
 #include "verify/scenario.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// The big_machine.scenario corpus entry, stripped to its deterministic
 /// core (run_des prices single deterministic executions).
@@ -91,14 +88,14 @@ FoldLeg run_leg(const verify::Scenario& s, bool fold) {
   return leg;
 }
 
-void print_fold_leg(const char* key, const FoldLeg& leg, bool last) {
-  std::cout << "      \"" << key << "\": {\"wall_sec\": " << leg.wall_sec
-            << ", \"events\": " << leg.events << ", \"events_per_sec\": "
-            << (leg.wall_sec > 0
-                    ? static_cast<double>(leg.events) / leg.wall_sec
-                    : 0.0)
-            << ", \"total_seconds\": " << leg.result.total_seconds << "}"
-            << (last ? "\n" : ",\n");
+svc::Json fold_leg_json(const FoldLeg& leg) {
+  return svc::JsonObject{
+      {"wall_sec", leg.wall_sec},
+      {"events", leg.events},
+      {"events_per_sec", leg.wall_sec > 0 ? static_cast<double>(leg.events) /
+                                                leg.wall_sec
+                                          : 0.0},
+      {"total_seconds", leg.result.total_seconds}};
 }
 
 }  // namespace
@@ -132,29 +129,24 @@ int main() {
   const bool gates_pass =
       identical && gated_speedup >= 20.0 && gated_folded_wall < 10.0;
 
-  std::cout.precision(6);
-  std::cout << "{\n  \"engine_fold\": {\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    std::cout << "    \"" << e.name << "\": {\n"
-              << "      \"ranks\": " << e.scenario.ranks << ",\n";
-    print_fold_leg("folded", e.folded, false);
-    print_fold_leg("unfolded", e.unfolded, false);
-    std::cout << "      \"fold_speedup\": "
-              << (e.folded.wall_sec > 0
-                      ? e.unfolded.wall_sec / e.folded.wall_sec
-                      : 0.0)
-              << ",\n      \"gated\": " << (e.gated ? "true" : "false")
-              << "\n    }" << (i + 1 == entries.size() ? "\n" : ",\n");
-  }
-  std::cout << "  },\n"
-            << "  \"predictions_bitwise_identical\": "
-            << (identical ? "true" : "false") << ",\n"
-            << "  \"gates\": {\"scope\": \"vulcan_393k\", "
-               "\"fold_speedup_min\": 20.0, \"folded_wall_max_sec\": 10.0, "
-               "\"pass\": "
-            << (gates_pass ? "true" : "false") << "}\n"
-            << "}\n";
+  svc::JsonObject engine_fold;
+  for (const Entry& e : entries)
+    engine_fold[e.name] = svc::JsonObject{
+        {"ranks", e.scenario.ranks},
+        {"folded", fold_leg_json(e.folded)},
+        {"unfolded", fold_leg_json(e.unfolded)},
+        {"fold_speedup", e.folded.wall_sec > 0
+                             ? e.unfolded.wall_sec / e.folded.wall_sec
+                             : 0.0},
+        {"gated", e.gated}};
+  const svc::Json report = svc::JsonObject{
+      {"engine_fold", std::move(engine_fold)},
+      {"predictions_bitwise_identical", identical},
+      {"gates", svc::JsonObject{{"scope", "vulcan_393k"},
+                                {"fold_speedup_min", 20.0},
+                                {"folded_wall_max_sec", 10.0},
+                                {"pass", gates_pass}}}};
+  std::cout << report.dump() << "\n";
 
   if (!identical)
     std::cerr << "DIVERGENCE: folded and unfolded predictions differ\n";

@@ -25,7 +25,6 @@
 //   - any campaign trial hits the simulation horizon, or
 //   - the pooled campaign takes 10 s or longer of wall-clock.
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -33,24 +32,23 @@
 
 #include "apps/kernels.hpp"
 #include "apps/lulesh.hpp"
+#include "common.hpp"
 #include "core/arch.hpp"
 #include "core/engine_des.hpp"
 #include "inject/campaign.hpp"
 #include "inject/sdc.hpp"
 #include "net/topology.hpp"
+#include "svc/json.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
 
 constexpr std::int64_t kRanks = 1000;  // 10^3: perfect cube for LULESH
 constexpr int kTimesteps = 100;
 constexpr std::size_t kTrials = 16;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 core::ArchBEO make_arch() {
   // 16 x 16 node fat-tree, 4 ranks/node physically; FTI groups of 4 nodes
@@ -127,32 +125,32 @@ SingleRun run_single(const core::AppBEO& app, const core::ArchBEO& arch,
   return run;
 }
 
-void print_single_run(const char* key, const SingleRun& run) {
+svc::Json single_run_json(const SingleRun& run) {
   const auto events = run.result.sim_events;
-  std::cout << "\"" << key << "\": {\"wall_sec\": " << run.wall_sec
-            << ", \"events\": " << events << ", \"events_per_sec\": "
-            << (run.wall_sec > 0 ? static_cast<double>(events) / run.wall_sec
-                                 : 0.0)
-            << "}";
+  return svc::JsonObject{
+      {"wall_sec", run.wall_sec},
+      {"events", events},
+      {"events_per_sec",
+       run.wall_sec > 0 ? static_cast<double>(events) / run.wall_sec : 0.0}};
 }
 
-void print_campaign_leg(const char* key, const CampaignLeg& leg, bool last) {
+svc::Json campaign_leg_json(const CampaignLeg& leg) {
   const inject::CampaignResult& r = leg.result;
-  std::cout << "    \"" << key << "\": {\"wall_sec\": " << leg.wall_sec
-            << ", \"trials_per_sec\": "
-            << (leg.wall_sec > 0
-                    ? static_cast<double>(r.totals.size()) / leg.wall_sec
-                    : 0.0)
-            << ", \"mean\": " << r.total.mean << ", \"p10\": " << r.p10
-            << ", \"p50\": " << r.p50 << ", \"p90\": " << r.p90
-            << ", \"mean_faults\": " << r.mean_faults
-            << ", \"mean_lost_work\": " << r.mean_lost_work
-            << ", \"recoveries_by_level\": [" << r.mean_recoveries_by_level[0]
-            << ", " << r.mean_recoveries_by_level[1] << ", "
-            << r.mean_recoveries_by_level[2] << ", "
-            << r.mean_recoveries_by_level[3]
-            << "], \"incomplete_trials\": " << r.incomplete_trials << "}"
-            << (last ? "\n" : ",\n");
+  svc::JsonArray recoveries(r.mean_recoveries_by_level.begin(),
+                            r.mean_recoveries_by_level.end());
+  return svc::JsonObject{
+      {"wall_sec", leg.wall_sec},
+      {"trials_per_sec",
+       leg.wall_sec > 0 ? static_cast<double>(r.totals.size()) / leg.wall_sec
+                        : 0.0},
+      {"mean", r.total.mean},
+      {"p10", r.p10},
+      {"p50", r.p50},
+      {"p90", r.p90},
+      {"mean_faults", r.mean_faults},
+      {"mean_lost_work", r.mean_lost_work},
+      {"recoveries_by_level", std::move(recoveries)},
+      {"incomplete_trials", r.incomplete_trials}};
 }
 
 }  // namespace
@@ -180,30 +178,26 @@ int main() {
   const bool gates_pass =
       single_ok && fold_identical && identical && all_complete && wall_ok;
 
-  std::cout.precision(6);
-  std::cout << "{\n  \"workload\": {\"app\": \"lulesh_fti\", \"ranks\": "
-            << kRanks << ", \"timesteps\": " << kTimesteps
-            << ", \"plan\": \"L1:10,L2:20\", \"trials\": " << kTrials
-            << "},\n"
-            << "  \"single_run\": {";
-  print_single_run("folded", folded);
-  std::cout << ", ";
-  print_single_run("unfolded", unfolded);
-  std::cout << ", \"total_seconds\": " << single.total_seconds
-            << ", \"faults\": " << single.faults
-            << ", \"rollbacks\": " << single.rollbacks
-            << ", \"full_restarts\": " << single.full_restarts
-            << ", \"fold_bitwise_identical\": "
-            << (fold_identical ? "true" : "false") << "},\n"
-            << "  \"campaign\": {\n";
-  print_campaign_leg("threads_1", serial, false);
-  print_campaign_leg("pooled", pooled, true);
-  std::cout << "  },\n"
-            << "  \"threads_bitwise_identical\": "
-            << (identical ? "true" : "false") << ",\n"
-            << "  \"gates\": {\"pooled_wall_max_sec\": 10.0, \"pass\": "
-            << (gates_pass ? "true" : "false") << "}\n"
-            << "}\n";
+  const svc::Json report = svc::JsonObject{
+      {"workload", svc::JsonObject{{"app", "lulesh_fti"},
+                                   {"ranks", kRanks},
+                                   {"timesteps", kTimesteps},
+                                   {"plan", "L1:10,L2:20"},
+                                   {"trials", kTrials}}},
+      {"single_run",
+       svc::JsonObject{{"folded", single_run_json(folded)},
+                       {"unfolded", single_run_json(unfolded)},
+                       {"total_seconds", single.total_seconds},
+                       {"faults", single.faults},
+                       {"rollbacks", single.rollbacks},
+                       {"full_restarts", single.full_restarts},
+                       {"fold_bitwise_identical", fold_identical}}},
+      {"campaign", svc::JsonObject{{"threads_1", campaign_leg_json(serial)},
+                                   {"pooled", campaign_leg_json(pooled)}}},
+      {"threads_bitwise_identical", identical},
+      {"gates", svc::JsonObject{{"pooled_wall_max_sec", 10.0},
+                                {"pass", gates_pass}}}};
+  std::cout << report.dump() << "\n";
 
   if (!single_ok)
     std::cerr << "GATE: single injected run incomplete or fault-free\n";

@@ -13,24 +13,22 @@
 // gates (<2% on the pool sweep bench).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
+#include "common.hpp"
 #include "obs/obs.hpp"
+#include "svc/json.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
 
 constexpr std::size_t kOpsPerBatch = 1 << 20;
 constexpr int kBatches = 9;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // Median ns/op over kBatches runs of fn(kOpsPerBatch).
 template <typename Fn>
@@ -102,6 +100,12 @@ Costs measure() {
   return c;
 }
 
+svc::Json costs_json(const Costs& c) {
+  return svc::JsonObject{{"counter_add_ns", c.counter_ns},
+                         {"histogram_observe_ns", c.histogram_ns},
+                         {"span_roundtrip_ns", c.span_ns}};
+}
+
 }  // namespace
 
 int main() {
@@ -124,27 +128,16 @@ int main() {
       snap.histogram("bench.hist") != nullptr &&
       snap.histogram("bench.hist")->count == expected;
 
-  std::cout << "{\n";
-  std::cout << "  \"bench\": \"obs\",\n";
-  std::cout << "  \"obs_compiled\": " << (obs::compiled() ? "true" : "false")
-            << ",\n";
-  std::cout << "  \"ops_per_batch\": " << kOpsPerBatch << ",\n";
-  std::cout << "  \"batches\": " << kBatches << ",\n";
-  std::cout << "  \"baseline_loop_ns_per_op\": " << baseline_ns << ",\n";
-  std::cout << "  \"disabled\": {\n";
-  std::cout << "    \"counter_add_ns\": " << off.counter_ns << ",\n";
-  std::cout << "    \"histogram_observe_ns\": " << off.histogram_ns << ",\n";
-  std::cout << "    \"span_roundtrip_ns\": " << off.span_ns << "\n";
-  std::cout << "  },\n";
-  std::cout << "  \"enabled\": {\n";
-  std::cout << "    \"counter_add_ns\": " << on.counter_ns << ",\n";
-  std::cout << "    \"histogram_observe_ns\": " << on.histogram_ns << ",\n";
-  std::cout << "    \"span_roundtrip_ns\": " << on.span_ns << "\n";
-  std::cout << "  },\n";
-  std::cout << "  \"disabled_counter_overhead_ns\": "
-            << off.counter_ns - baseline_ns << ",\n";
-  std::cout << "  \"enabled_totals_exact\": "
-            << (totals_exact ? "true" : "false") << "\n";
-  std::cout << "}\n";
+  const svc::Json report = svc::JsonObject{
+      {"bench", "obs"},
+      {"obs_compiled", obs::compiled()},
+      {"ops_per_batch", kOpsPerBatch},
+      {"batches", kBatches},
+      {"baseline_loop_ns_per_op", baseline_ns},
+      {"disabled", costs_json(off)},
+      {"enabled", costs_json(on)},
+      {"disabled_counter_overhead_ns", off.counter_ns - baseline_ns},
+      {"enabled_totals_exact", totals_exact}};
+  std::cout << report.dump() << "\n";
   return totals_exact ? 0 : 1;
 }

@@ -12,30 +12,28 @@
 // wall-clock speedup reported.
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "common.hpp"
 #include "core/arch.hpp"
 #include "core/beo.hpp"
 #include "core/workflow.hpp"
 #include "obs/obs.hpp"
 #include "sim/detail/payload_pool.hpp"
 #include "sim/event_heap.hpp"
+#include "svc/json.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 double bench_pool_tasks(std::size_t tasks) {
   std::atomic<std::uint64_t> sink{0};
@@ -185,46 +183,34 @@ int main() {
   const double heap_eps = bench_event_heap(2000000);
   const SweepResult sweep = bench_dse_sweep();
 
-  std::cout.precision(6);
-  std::cout << "{\n"
-            << "  \"workers\": " << util::TaskPool::shared().worker_count()
-            << ",\n"
-            << "  \"pool_tasks_per_sec\": " << pool_tps << ",\n"
-            << "  \"parallel_for_items_per_sec\": " << pfor_ips << ",\n"
-            << "  \"payload_allocs_per_sec\": " << payload.allocs_per_sec
-            << ",\n"
-            << "  \"payload_freelist_hit_ratio\": " << payload.hit_ratio
-            << ",\n"
-            << "  \"event_heap_ops_per_sec\": " << heap_eps << ",\n"
-            << "  \"dse_serial_seconds\": " << sweep.serial_seconds << ",\n"
-            << "  \"dse_pool_seconds\": " << sweep.pool_seconds << ",\n"
-            << "  \"dse_speedup\": "
-            << sweep.serial_seconds / sweep.pool_seconds << ",\n"
-            << "  \"dse_bit_identical\": "
-            << (sweep.bit_identical ? "true" : "false") << ",\n"
-            << "  \"obs_enabled\": " << (obs::enabled() ? "true" : "false");
+  const auto workers = util::TaskPool::shared().worker_count();
+  svc::JsonObject report{
+      {"workers", static_cast<std::uint64_t>(workers)},
+      {"pool_tasks_per_sec", pool_tps},
+      {"parallel_for_items_per_sec", pfor_ips},
+      {"payload_allocs_per_sec", payload.allocs_per_sec},
+      {"payload_freelist_hit_ratio", payload.hit_ratio},
+      {"event_heap_ops_per_sec", heap_eps},
+      {"dse_serial_seconds", sweep.serial_seconds},
+      {"dse_pool_seconds", sweep.pool_seconds},
+      {"dse_speedup", sweep.serial_seconds / sweep.pool_seconds},
+      {"dse_bit_identical", sweep.bit_identical},
+      {"obs_enabled", obs::enabled()}};
   if (obs::enabled()) {
     const double wall = seconds_since(wall_start);
     const obs::MetricsSnapshot snap = obs::scrape();
     const double busy_s =
         static_cast<double>(snap.counter("pool.busy_ns")) * 1e-9;
     const double utilization =
-        wall > 0.0
-            ? busy_s / (wall * static_cast<double>(
-                                   util::TaskPool::shared().worker_count()))
-            : 0.0;
-    std::cout << ",\n  \"obs\": {\n"
-              << "    \"pool_tasks\": " << snap.counter("pool.tasks") << ",\n"
-              << "    \"pool_steals\": " << snap.counter("pool.steals")
-              << ",\n"
-              << "    \"pool_wakeups\": " << snap.counter("pool.wakeups")
-              << ",\n"
-              << "    \"pool_busy_seconds\": " << busy_s << ",\n"
-              << "    \"pool_queue_high_water\": "
-              << snap.gauge("pool.queue_high_water") << ",\n"
-              << "    \"worker_utilization\": " << utilization << "\n"
-              << "  }";
+        wall > 0.0 ? busy_s / (wall * static_cast<double>(workers)) : 0.0;
+    report["obs"] = svc::JsonObject{
+        {"pool_tasks", snap.counter("pool.tasks")},
+        {"pool_steals", snap.counter("pool.steals")},
+        {"pool_wakeups", snap.counter("pool.wakeups")},
+        {"pool_busy_seconds", busy_s},
+        {"pool_queue_high_water", snap.gauge("pool.queue_high_water")},
+        {"worker_utilization", utilization}};
   }
-  std::cout << "\n}\n";
+  std::cout << svc::Json(std::move(report)).dump() << "\n";
   return sweep.bit_identical ? 0 : 1;
 }

@@ -22,7 +22,6 @@
 // Exit 1 (GATE line on stderr) when any machine fails any gate.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -33,20 +32,19 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/workflow.hpp"
 #include "search/pareto.hpp"
 #include "search/search.hpp"
+#include "svc/json.hpp"
 #include "verify/scenario.hpp"
 #include "verify/search_check.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
@@ -70,6 +68,14 @@ struct MachineRun {
   [[nodiscard]] bool pass() const {
     return thread_bit_identical && within_budget && optimum_found &&
            pareto_dominates && bandit_keeps_best;
+  }
+
+  [[nodiscard]] svc::JsonObject gates() const {
+    return {{"thread_bit_identical", thread_bit_identical},
+            {"within_budget", within_budget},
+            {"optimum_found", optimum_found},
+            {"pareto_dominates", pareto_dominates},
+            {"bandit_keeps_best", bandit_keeps_best}};
   }
 };
 
@@ -156,8 +162,6 @@ MachineRun run_machine(const std::string& name, const verify::Scenario& s,
   return run;
 }
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
 }  // namespace
 
 int main() {
@@ -187,44 +191,33 @@ int main() {
   }
 
   bool all_pass = true;
-  std::cout.precision(6);
-  std::cout << "{\n  \"budget_fraction\": " << budget_fraction
-            << ",\n  \"machines\": {\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const MachineRun& r = runs[i];
+  svc::JsonObject machines;
+  for (const MachineRun& r : runs) {
     all_pass &= r.pass();
-    std::cout << "    \"" << r.name << "\": {\n"
-              << "      \"cells\": " << r.cells
-              << ", \"evaluations\": " << r.evaluations
-              << ", \"eval_fraction\": " << r.eval_fraction
-              << ", \"front_size\": " << r.front_size << ",\n"
-              << "      \"exhaustive_wall_sec\": " << r.exhaustive_wall
-              << ", \"search_wall_sec\": " << r.search_wall << ",\n"
-              << "      \"deterministic\": " << json_bool(r.deterministic)
-              << ",\n      \"gates\": {"
-              << "\"thread_bit_identical\": "
-              << json_bool(r.thread_bit_identical)
-              << ", \"within_budget\": " << json_bool(r.within_budget)
-              << ", \"optimum_found\": " << json_bool(r.optimum_found)
-              << ", \"pareto_dominates\": " << json_bool(r.pareto_dominates)
-              << ", \"bandit_keeps_best\": " << json_bool(r.bandit_keeps_best)
-              << ", \"pass\": " << json_bool(r.pass()) << "}\n    }"
-              << (i + 1 == runs.size() ? "\n" : ",\n");
+    svc::JsonObject gates = r.gates();
+    gates["pass"] = r.pass();
+    machines[r.name] = svc::JsonObject{
+        {"cells", r.cells},
+        {"evaluations", r.evaluations},
+        {"eval_fraction", r.eval_fraction},
+        {"front_size", r.front_size},
+        {"exhaustive_wall_sec", r.exhaustive_wall},
+        {"search_wall_sec", r.search_wall},
+        {"deterministic", r.deterministic},
+        {"gates", std::move(gates)}};
   }
-  std::cout << "  },\n  \"gates\": {\"eval_fraction_max\": "
-            << budget_fraction << ", \"pass\": " << json_bool(all_pass)
-            << "}\n}\n";
+  const svc::Json report = svc::JsonObject{
+      {"budget_fraction", budget_fraction},
+      {"machines", std::move(machines)},
+      {"gates", svc::JsonObject{{"eval_fraction_max", budget_fraction},
+                                {"pass", all_pass}}}};
+  std::cout << report.dump() << "\n";
 
   if (!all_pass) {
     for (const MachineRun& r : runs)
       if (!r.pass())
-        std::cerr << "GATE: " << r.name << " fails (thread_bit_identical="
-                  << json_bool(r.thread_bit_identical)
-                  << " within_budget=" << json_bool(r.within_budget)
-                  << " optimum_found=" << json_bool(r.optimum_found)
-                  << " pareto_dominates=" << json_bool(r.pareto_dominates)
-                  << " bandit_keeps_best=" << json_bool(r.bandit_keeps_best)
-                  << ")\n";
+        std::cerr << "GATE: " << r.name << " fails "
+                  << svc::Json(r.gates()).dump() << "\n";
     return 1;
   }
   return 0;

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 
 #include "apps/kernels.hpp"
 #include "apps/stencil3d.hpp"
+#include "common.hpp"
 #include "core/arch.hpp"
 #include "model/perf_model.hpp"
 #include "net/topology.hpp"
@@ -33,7 +33,8 @@
 #include "svc/server.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
 
@@ -63,15 +64,11 @@ std::shared_ptr<const svc::Registry> make_registry() {
 /// path costs real milliseconds, so the hot/cold ratio measures the cache,
 /// not socket noise.
 svc::Json heavy_request(int seed) {
-  return svc::Json::parse(
-      "{\"op\":\"simulate\",\"app\":\"lulesh\",\"epr\":10,\"ranks\":64,"
-      "\"timesteps\":400,\"plan\":\"L1:20,L4:100\",\"trials\":2000,"
-      "\"mtbf_hours\":0.5,\"downtime\":60,\"seed\":" +
-      std::to_string(seed) + "}");
-}
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  return svc::JsonObject{{"op", "simulate"},  {"app", "lulesh"},
+                         {"epr", 10},         {"ranks", 64},
+                         {"timesteps", 400},  {"plan", "L1:20,L4:100"},
+                         {"trials", 2000},    {"mtbf_hours", 0.5},
+                         {"downtime", 60},    {"seed", seed}};
 }
 
 double median(std::vector<double> samples) {
@@ -164,25 +161,23 @@ int main() {
   const bool pass =
       all_ok && bytes_identical && speedup >= kRequiredSpeedup;
 
-  std::cout << "{\n";
-  std::cout << "  \"bench\": \"svc\",\n";
-  std::cout << "  \"cold_samples\": " << kColdSamples << ",\n";
-  std::cout << "  \"hot_samples\": " << kHotSamples << ",\n";
-  std::cout << "  \"cold_latency_ms\": " << cold_ms << ",\n";
-  std::cout << "  \"hot_latency_ms\": " << hot_ms << ",\n";
-  std::cout << "  \"hot_speedup\": " << speedup << ",\n";
-  std::cout << "  \"required_speedup\": " << kRequiredSpeedup << ",\n";
-  std::cout << "  \"load_threads\": " << kLoadThreads << ",\n";
-  std::cout << "  \"load_seconds\": " << load_elapsed << ",\n";
-  std::cout << "  \"req_per_s\": " << req_per_s << ",\n";
-  std::cout << "  \"cache_hit_rate\": " << hit_rate << ",\n";
-  std::cout << "  \"coalesced\": " << stats.coalesced << ",\n";
-  std::cout << "  \"completed\": " << stats.completed << ",\n";
-  std::cout << "  \"all_responses_ok\": " << (all_ok ? "true" : "false")
-            << ",\n";
-  std::cout << "  \"hot_bytes_identical\": "
-            << (bytes_identical ? "true" : "false") << ",\n";
-  std::cout << "  \"pass\": " << (pass ? "true" : "false") << "\n";
-  std::cout << "}\n";
+  const svc::Json report = svc::JsonObject{
+      {"bench", "svc"},
+      {"cold_samples", kColdSamples},
+      {"hot_samples", kHotSamples},
+      {"cold_latency_ms", cold_ms},
+      {"hot_latency_ms", hot_ms},
+      {"hot_speedup", speedup},
+      {"required_speedup", kRequiredSpeedup},
+      {"load_threads", kLoadThreads},
+      {"load_seconds", load_elapsed},
+      {"req_per_s", req_per_s},
+      {"cache_hit_rate", hit_rate},
+      {"coalesced", stats.coalesced},
+      {"completed", stats.completed},
+      {"all_responses_ok", all_ok},
+      {"hot_bytes_identical", bytes_identical},
+      {"pass", pass}};
+  std::cout << report.dump() << "\n";
   return pass ? 0 : 1;
 }

@@ -19,29 +19,26 @@
 // 1-worker and of the N-worker shared pool must produce the same champion
 // — the determinism contract of the calibration pipeline.
 
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iostream>
-#include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "model/dataset.hpp"
 #include "model/expr.hpp"
 #include "model/expr_program.hpp"
 #include "model/symreg.hpp"
 #include "obs/obs.hpp"
+#include "svc/json.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Run `body` until it has consumed ~0.4s, return seconds per call.
 template <typename F>
@@ -373,19 +370,14 @@ FitTiming time_full_fit(const model::Dataset& data) {
   return t;
 }
 
-void print_dataset(const char* name, const DatasetBench& b, bool last) {
-  std::cout << "  \"" << name << "\": {\n"
-            << "    \"tree_walk_seconds_per_pass\": " << b.tree_walk_s << ",\n"
-            << "    \"compiled_seconds_per_pass\": " << b.compiled_s << ",\n"
-            << "    \"compiled_parallel_seconds_per_pass\": " << b.parallel_s
-            << ",\n"
-            << "    \"compiled_speedup\": " << b.tree_walk_s / b.compiled_s
-            << ",\n"
-            << "    \"compiled_parallel_speedup\": "
-            << b.tree_walk_s / b.parallel_s << ",\n"
-            << "    \"fitness_bit_identical\": "
-            << (b.identical ? "true" : "false") << "\n"
-            << "  }" << (last ? "\n" : ",\n");
+svc::Json dataset_json(const DatasetBench& b) {
+  return svc::JsonObject{
+      {"tree_walk_seconds_per_pass", b.tree_walk_s},
+      {"compiled_seconds_per_pass", b.compiled_s},
+      {"compiled_parallel_seconds_per_pass", b.parallel_s},
+      {"compiled_speedup", b.tree_walk_s / b.compiled_s},
+      {"compiled_parallel_speedup", b.tree_walk_s / b.parallel_s},
+      {"fitness_bit_identical", b.identical}};
 }
 
 }  // namespace
@@ -401,35 +393,29 @@ int main() {
   const bool invariant = fit_thread_invariant(lulesh);
   const FitTiming full_fit = time_full_fit(lulesh);
 
-  std::cout.precision(6);
-  std::cout << "{\n"
-            << "  \"workers\": " << util::TaskPool::shared().worker_count()
-            << ",\n"
-            << "  \"population\": 256,\n"
-            << "  \"lulesh_rows\": " << lulesh.num_rows() << ",\n"
-            << "  \"fti_rows\": " << fti.num_rows() << ",\n";
-  print_dataset("lulesh_timestep", bl, false);
-  print_dataset("fti_checkpoint", bf, false);
-  std::cout << "  \"fit_seconds_per_call\": " << full_fit.seconds << ",\n"
-            << "  \"fit_evals\": " << full_fit.evals << ",\n"
-            << "  \"fit_memo_hits\": " << full_fit.memo_hits << ",\n"
-            << "  \"fit_champion_thread_invariant\": "
-            << (invariant ? "true" : "false") << ",\n"
-            << "  \"obs_enabled\": " << (obs::enabled() ? "true" : "false");
+  svc::JsonObject report{
+      {"workers",
+       static_cast<std::uint64_t>(util::TaskPool::shared().worker_count())},
+      {"population", 256},
+      {"lulesh_rows", lulesh.num_rows()},
+      {"fti_rows", fti.num_rows()},
+      {"lulesh_timestep", dataset_json(bl)},
+      {"fti_checkpoint", dataset_json(bf)},
+      {"fit_seconds_per_call", full_fit.seconds},
+      {"fit_evals", full_fit.evals},
+      {"fit_memo_hits", full_fit.memo_hits},
+      {"fit_champion_thread_invariant", invariant},
+      {"obs_enabled", obs::enabled()}};
   if (obs::enabled()) {
     // Calibration-progress snapshot (the fits above ran with obs on).
     const obs::MetricsSnapshot snap = obs::scrape();
-    std::cout << ",\n  \"obs\": {\n"
-              << "    \"symreg_generations\": "
-              << snap.counter("symreg.generations") << ",\n"
-              << "    \"symreg_evals\": " << snap.counter("symreg.evals")
-              << ",\n"
-              << "    \"symreg_memo_hits\": "
-              << snap.counter("symreg.memo_hits") << ",\n"
-              << "    \"pool_tasks\": " << snap.counter("pool.tasks") << "\n"
-              << "  }";
+    report["obs"] = svc::JsonObject{
+        {"symreg_generations", snap.counter("symreg.generations")},
+        {"symreg_evals", snap.counter("symreg.evals")},
+        {"symreg_memo_hits", snap.counter("symreg.memo_hits")},
+        {"pool_tasks", snap.counter("pool.tasks")}};
   }
-  std::cout << "\n}\n";
+  std::cout << svc::Json(std::move(report)).dump() << "\n";
 
   const bool ok = bl.identical && bf.identical && invariant;
   if (!ok) std::cerr << "DIVERGENCE: compiled path disagrees with oracle\n";

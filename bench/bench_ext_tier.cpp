@@ -23,13 +23,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.hpp"
 #include "svc/client.hpp"
 #include "svc/json.hpp"
 #include "svc/registry.hpp"
@@ -37,7 +37,8 @@
 #include "svc/server.hpp"
 
 using namespace ftbesst;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::seconds_since;
 
 namespace {
 
@@ -86,10 +87,6 @@ std::unique_ptr<svc::Router> make_tier(int n, const char* tag) {
   return router;
 }
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
@@ -113,8 +110,7 @@ LoadResult saturate_sleep(const std::string& path, double seconds) {
   std::vector<std::vector<double>> latencies(kLoadConnections);
   std::vector<std::thread> threads;
   threads.reserve(kLoadConnections);
-  const svc::Json request = svc::Json::parse(
-      "{\"op\":\"sleep\",\"ms\":" + std::to_string(kSleepMs) + "}");
+  const svc::Json request = svc::JsonObject{{"op", "sleep"}, {"ms", kSleepMs}};
   for (int t = 0; t < kLoadConnections; ++t)
     threads.emplace_back([&, t] {
       try {
@@ -159,16 +155,19 @@ std::vector<svc::Json> unique_requests() {
   requests.reserve(kUniqueRequests);
   for (int i = 0; i < kUniqueRequests; ++i) {
     if (i % 3 == 0) {
-      requests.push_back(svc::Json::parse(
-          "{\"op\":\"predict\",\"kernel\":\"lulesh_timestep\",\"params\":[" +
-          std::to_string(4 + i % 32) + "," + std::to_string(8 << (i % 4)) +
-          "]}"));
+      requests.emplace_back(svc::JsonObject{
+          {"op", "predict"},
+          {"kernel", "lulesh_timestep"},
+          {"params", svc::JsonArray{4 + i % 32, 8 << (i % 4)}}});
     } else {
-      requests.push_back(svc::Json::parse(
-          "{\"op\":\"simulate\",\"app\":\"lulesh\",\"epr\":10,\"ranks\":64,"
-          "\"timesteps\":30,\"plan\":\"L1:10\",\"trials\":" +
-          std::to_string(2 + i % 3) + ",\"seed\":" + std::to_string(7000 + i) +
-          "}"));
+      requests.emplace_back(svc::JsonObject{{"op", "simulate"},
+                                            {"app", "lulesh"},
+                                            {"epr", 10},
+                                            {"ranks", 64},
+                                            {"timesteps", 30},
+                                            {"plan", "L1:10"},
+                                            {"trials", 2 + i % 3},
+                                            {"seed", 7000 + i}});
     }
   }
   return requests;
@@ -178,7 +177,7 @@ std::vector<svc::Json> unique_requests() {
 
 int main() {
   bool pass = true;
-  std::cout << "{\n  \"bench\": \"tier\",\n";
+  svc::JsonObject report{{"bench", "tier"}};
 
   // ------------------------------------------------------------------
   // Phase 1: saturation scaling, 1 worker vs kTierWorkers.
@@ -200,20 +199,19 @@ int main() {
   const bool scaling_ok = scaling >= kRequiredScaling &&
                           single.errors == 0 && scaled.errors == 0;
   pass = pass && scaling_ok;
-  std::cout << "  \"saturation\": {\n"
-            << "    \"connections\": " << kLoadConnections << ",\n"
-            << "    \"sleep_ms\": " << kSleepMs << ",\n"
-            << "    \"one_worker_req_per_s\": " << single.req_per_s << ",\n"
-            << "    \"one_worker_p50_ms\": " << single.p50_ms << ",\n"
-            << "    \"one_worker_p99_ms\": " << single.p99_ms << ",\n"
-            << "    \"tier_workers\": " << kTierWorkers << ",\n"
-            << "    \"tier_req_per_s\": " << scaled.req_per_s << ",\n"
-            << "    \"tier_p50_ms\": " << scaled.p50_ms << ",\n"
-            << "    \"tier_p99_ms\": " << scaled.p99_ms << ",\n"
-            << "    \"scaling\": " << scaling << ",\n"
-            << "    \"required_scaling\": " << kRequiredScaling << ",\n"
-            << "    \"pass\": " << (scaling_ok ? "true" : "false") << "\n"
-            << "  },\n";
+  report["saturation"] = svc::JsonObject{
+      {"connections", kLoadConnections},
+      {"sleep_ms", kSleepMs},
+      {"one_worker_req_per_s", single.req_per_s},
+      {"one_worker_p50_ms", single.p50_ms},
+      {"one_worker_p99_ms", single.p99_ms},
+      {"tier_workers", kTierWorkers},
+      {"tier_req_per_s", scaled.req_per_s},
+      {"tier_p50_ms", scaled.p50_ms},
+      {"tier_p99_ms", scaled.p99_ms},
+      {"scaling", scaling},
+      {"required_scaling", kRequiredScaling},
+      {"pass", scaling_ok}};
 
   // ------------------------------------------------------------------
   // Phase 2 + 3 share one tier.
@@ -255,11 +253,9 @@ int main() {
   }
   const bool identity_ok = divergent == 0;
   pass = pass && identity_ok;
-  std::cout << "  \"byte_identity\": {\n"
-            << "    \"requests\": " << requests.size() << ",\n"
-            << "    \"divergent\": " << divergent << ",\n"
-            << "    \"pass\": " << (identity_ok ? "true" : "false") << "\n"
-            << "  },\n";
+  report["byte_identity"] = svc::JsonObject{{"requests", requests.size()},
+                                            {"divergent", divergent},
+                                            {"pass", identity_ok}};
 
   // ------------------------------------------------------------------
   // Phase 3: rolling restart under live load.
@@ -342,23 +338,22 @@ int main() {
       failed_non_shed.load() == 0 && restart_p99 <= kMaxRestartP99Ms &&
       rewarm_fraction >= kMinRewarmFraction && stats.journal_replayed > 0;
   pass = pass && restart_ok;
-  std::cout << "  \"rolling_restart\": {\n"
-            << "    \"workers_restarted\": " << restarted << ",\n"
-            << "    \"restart_seconds\": " << restart_seconds << ",\n"
-            << "    \"req_per_s_during_restart\": " << restart_req_per_s
-            << ",\n"
-            << "    \"p50_ms_during_restart\": " << restart_p50 << ",\n"
-            << "    \"p99_ms_during_restart\": " << restart_p99 << ",\n"
-            << "    \"max_p99_ms\": " << kMaxRestartP99Ms << ",\n"
-            << "    \"ok\": " << ok_count.load() << ",\n"
-            << "    \"shed_overload\": " << shed_count.load() << ",\n"
-            << "    \"failed_non_shed\": " << failed_non_shed.load() << ",\n"
-            << "    \"journal_replayed\": " << stats.journal_replayed << ",\n"
-            << "    \"rewarm_fraction\": " << rewarm_fraction << ",\n"
-            << "    \"min_rewarm_fraction\": " << kMinRewarmFraction << ",\n"
-            << "    \"pass\": " << (restart_ok ? "true" : "false") << "\n"
-            << "  },\n";
+  report["rolling_restart"] = svc::JsonObject{
+      {"workers_restarted", restarted},
+      {"restart_seconds", restart_seconds},
+      {"req_per_s_during_restart", restart_req_per_s},
+      {"p50_ms_during_restart", restart_p50},
+      {"p99_ms_during_restart", restart_p99},
+      {"max_p99_ms", kMaxRestartP99Ms},
+      {"ok", ok_count.load()},
+      {"shed_overload", shed_count.load()},
+      {"failed_non_shed", failed_non_shed.load()},
+      {"journal_replayed", stats.journal_replayed},
+      {"rewarm_fraction", rewarm_fraction},
+      {"min_rewarm_fraction", kMinRewarmFraction},
+      {"pass", restart_ok}};
 
-  std::cout << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+  report["pass"] = pass;
+  std::cout << svc::Json(std::move(report)).dump() << "\n";
   return pass ? 0 : 1;
 }

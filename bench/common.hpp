@@ -5,7 +5,10 @@
 //
 // Every bench binary prints its table/figure data to stdout; everything
 // here is deterministic for a fixed seed so reruns reproduce the report.
+// The bench_ext_* binaries build their report as one svc::Json value and
+// print its canonical dump, timing their legs with seconds_since().
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +23,13 @@
 #include "net/topology.hpp"
 
 namespace ftbesst::bench {
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall-clock seconds elapsed since `start`.
+inline double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
 
 /// Table II of the paper.
 inline const std::vector<int> kEprs{5, 10, 15, 20, 25};

@@ -10,7 +10,9 @@
 #   - an observability pass on the Release tree: the full test suite with
 #     the obs runtime flag forced on (FTBESST_OBS=1), plus a <2% overhead
 #     gate comparing the pool sweep bench with obs on vs off — the
-#     instrumentation must stay near-free.
+#     instrumentation must stay near-free. The gate reads dse_pool_seconds
+#     from the bench's one-line JSON report, best of 5 interleaved runs,
+#     and fails if the report lacks it.
 #
 #   - a prediction-service pass: the svc test binary (server, cache,
 #     single-flight) under ThreadSanitizer, plus the bench_ext_svc load
@@ -129,9 +131,10 @@ if [ "$run_obs" = 1 ]; then
   # instrumentation's real workload) must cost < 2% with obs enabled.
   # Scale the sweep up (FTBESST_BENCH_TRIALS) so one run is tens of ms,
   # interleave off/on runs, and compare best-of-5: scheduler noise on a
-  # loaded host shows up as slow outliers, which min-of-N sheds.
+  # loaded host shows up as slow outliers, which min-of-N sheds. The bench
+  # prints one canonical svc::Json line (no spaces after ':').
   extract_dse_seconds() {
-    sed -n 's/.*"dse_pool_seconds": \([0-9.eE+-]*\).*/\1/p'
+    sed -n 's/.*"dse_pool_seconds":\([0-9.eE+-]*\).*/\1/p'
   }
   run_sweep() {  # $1 = value of FTBESST_OBS for the run
     FTBESST_OBS="$1" FTBESST_BENCH_TRIALS=256 \
@@ -145,6 +148,10 @@ if [ "$run_obs" = 1 ]; then
     on=$(min_val "$(run_sweep 1)" "$on")
   done
   echo "obs overhead gate: dse_pool_seconds off=$off on=$on"
+  if [ -z "$off" ] || [ -z "$on" ]; then
+    echo "!! obs overhead gate FAILED: no dse_pool_seconds in the report" >&2
+    exit 1
+  fi
   if ! awk -v on="$on" -v off="$off" 'BEGIN{exit !(on <= off * 1.02)}'; then
     echo "!! obs overhead gate FAILED: enabled run is more than 2% slower" >&2
     exit 1

@@ -114,7 +114,6 @@ Registry Registry::open(const RegistryOptions& options) {
     // Persisted-model path: reload `ftbesst fit` artifacts. The timestep
     // model is mandatory; checkpoint levels and the stencil kernel are
     // bound when present and otherwise rejected per-request.
-    bool any = false;
     auto try_load = [&](const std::string& kernel, bool required) {
       const std::string path = options.models_dir + "/" + kernel + ".model";
       std::ifstream is(path);
@@ -125,13 +124,11 @@ Registry Registry::open(const RegistryOptions& options) {
         return;
       }
       arch->bind_kernel(kernel, model::load_model(is));
-      any = true;
     };
     try_load(apps::kLuleshTimestep, true);
     for (int level = 1; level <= 4; ++level)
       try_load(apps::checkpoint_kernel(static_cast<ft::Level>(level)), false);
     try_load(apps::kStencilSweep, false);
-    (void)any;
   } else {
     // Calibrate mode: pay the full Model Development phase once, here.
     apps::QuartzTestbed testbed({}, options.fti);

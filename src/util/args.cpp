@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ftbesst::util {
 
@@ -39,27 +40,47 @@ std::string ArgParser::get_string(const std::string& flag,
   return get(flag).value_or(fallback);
 }
 
+namespace {
+
+// Parse all of `text` as a T; anything left over ("24x"), or nothing
+// parsed, is an error naming the flag.
+template <typename T>
+T parse_full(const std::string& flag, const std::string& text) {
+  constexpr bool integral = std::is_integral_v<T>;
+  std::size_t used = 0;
+  try {
+    T value;
+    if constexpr (integral)
+      value = std::stoll(text, &used);
+    else
+      value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("flag --" + flag + " expects " +
+                              (integral ? "an integer" : "a number") +
+                              ", got '" + text + "'");
+}
+
+}  // namespace
+
 std::int64_t ArgParser::get_int(const std::string& flag,
                                 std::int64_t fallback) const {
   const auto v = get(flag);
-  if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + flag + " expects an integer, got '" +
-                                *v + "'");
-  }
+  return v ? parse_full<std::int64_t>(flag, *v) : fallback;
 }
 
 double ArgParser::get_double(const std::string& flag, double fallback) const {
   const auto v = get(flag);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + flag + " expects a number, got '" +
-                                *v + "'");
-  }
+  return v ? parse_full<double>(flag, *v) : fallback;
+}
+
+std::vector<double> ArgParser::get_number_list(
+    const std::string& flag, const std::string& fallback) const {
+  std::vector<double> out;
+  for (const std::string& entry : split_list(get_string(flag, fallback)))
+    out.push_back(parse_full<double>(flag, entry));
+  return out;
 }
 
 namespace {

@@ -24,7 +24,8 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& flag) const noexcept;
 
   /// Typed getters; the non-optional forms return `fallback` when absent
-  /// and throw std::invalid_argument on unparseable values.
+  /// and throw std::invalid_argument, naming the flag, on a value that does
+  /// not parse in full ("24x" is an error, not 24).
   [[nodiscard]] std::optional<std::string> get(const std::string& flag) const;
   [[nodiscard]] std::string get_string(const std::string& flag,
                                        const std::string& fallback) const;
@@ -32,6 +33,11 @@ class ArgParser {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& flag,
                                   double fallback) const;
+  /// The comma-separated numbers of `flag` ("8,64"), or of `fallback`
+  /// when the flag is absent. Each entry must parse in full; the error
+  /// names the flag and the bad entry.
+  [[nodiscard]] std::vector<double> get_number_list(
+      const std::string& flag, const std::string& fallback) const;
 
   /// Reject any parsed flag outside `valid`: throws std::invalid_argument
   /// naming the offending flag and listing every valid one, with a "did

@@ -45,6 +45,41 @@ TEST(ArgParser, TypeErrorsThrow) {
   EXPECT_THROW((void)args.get_double("n", 0.0), std::invalid_argument);
 }
 
+TEST(ArgParser, TrailingGarbageThrows) {
+  const auto args = parse(
+      {"--nodes", "512abc", "--mtbf", "24x", "--gap", "1 ", "--e", "1e3"});
+  EXPECT_THROW((void)args.get_int("nodes", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("mtbf", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("gap", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("e", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(args.get_double("e", 0.0), 1000.0);
+}
+
+TEST(ArgParser, NumberListParsesEveryEntry) {
+  const auto args = parse({"--ranks", "8,64,1e3"});
+  EXPECT_EQ(args.get_number_list("ranks", ""),
+            (std::vector<double>{8, 64, 1000}));
+  EXPECT_EQ(args.get_number_list("eprs", "8,12"),
+            (std::vector<double>{8, 12}));
+  EXPECT_TRUE(args.get_number_list("none", "").empty());
+}
+
+TEST(ArgParser, NumberListErrorNamesFlagAndEntry) {
+  for (const char* bad : {"8,abc", "8,64x", "8,1e400"}) {
+    const auto args = parse({"--ranks", bad});
+    try {
+      (void)args.get_number_list("ranks", "");
+      FAIL() << "expected invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      const std::string entry = std::string(bad).substr(2);
+      EXPECT_NE(message.find("--ranks"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + entry + "'"), std::string::npos)
+          << message;
+    }
+  }
+}
+
 TEST(ArgParser, GetOptionalForm) {
   const auto args = parse({"--a", "1"});
   EXPECT_TRUE(args.get("a").has_value());

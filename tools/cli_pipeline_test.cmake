@@ -9,6 +9,7 @@ function(run_step)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "step failed (${rc}): ${ARGN}\n${out}\n${err}")
   endif()
+  set(step_out "${out}" PARENT_SCOPE)
 endfunction()
 
 run_step(${FTBESST} calibrate --out . --samples 5)
@@ -41,6 +42,16 @@ foreach(counter "pool.tasks" "bsp.runs" "mc.trials")
     message(FATAL_ERROR "obs/metrics.json is missing ${counter}")
   endif()
 endforeach()
+
+# search sends its flags to the search op as one JSON request: a scenario
+# name with a quote and a tab must come back intact in an ok reply.
+run_step(${FTBESST} search --models . --scenarios "say \"hi\"\tnow=L1:40"
+         --trials 2 --budget-frac 0.5)
+string(FIND "${step_out}" "\"ok\":true" ok_at)
+string(FIND "${step_out}" "\"scenario\":\"say \\\"hi\\\"\\tnow\"" name_at)
+if(ok_at LESS 0 OR name_at LESS 0)
+  message(FATAL_ERROR "search reply lacks ok or the scenario name: ${step_out}")
+endif()
 
 file(WRITE ${WORK_DIR}/faults.csv
      "100,3,loss\n250,1,crash\n380,7,loss\n505,2,loss\n660,4,loss\n")

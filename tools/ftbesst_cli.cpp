@@ -88,8 +88,9 @@
 //       {scenario x point} grid `dse` sweeps exhaustively: GP surrogate +
 //       expected improvement (or successive halving) under a trial-unit
 //       budget, default 10% of the exhaustive cost. Prints the search-op
-//       response JSON (best cell, Pareto front in pareto mode, evaluation
-//       history).
+//       reply as `client` would for the same request: {"ok":true,
+//       "result":{...}} with the best cell, the Pareto front in pareto
+//       mode, and the evaluation history.
 //
 //   ftbesst verify [--differential N [--dump DIR]] [--fuzz ITERS]
 //       [--corpus DIR [--update 1] [--threads-check 0|1]]
@@ -141,6 +142,7 @@
 #include "svc/registry.hpp"
 #include "svc/router.hpp"
 #include "svc/server.hpp"
+#include "svc/wire.hpp"
 #include "util/args.hpp"
 #include "util/config.hpp"
 #include "verify/corpus.hpp"
@@ -249,10 +251,7 @@ int cmd_predict(const util::ArgParser& args) {
     return 1;
   }
   const auto model = model::load_model(is);
-  std::vector<double> point;
-  for (const std::string& v : util::ArgParser::split_list(*params_text))
-    point.push_back(std::stod(v));
-  std::cout << model->predict(point) << "\n";
+  std::cout << model->predict(args.get_number_list("params", "")) << "\n";
   return 0;
 }
 
@@ -813,7 +812,7 @@ int cmd_serve(const util::ArgParser& args) {
             ? svc::Client::connect_tcp(static_cast<int>(tcp_port), timeout)
             : svc::Client::connect_unix(socket, timeout);
     const svc::ClientResponse response =
-        client.call(svc::Json::parse("{\"op\":\"rolling_restart\"}"));
+        client.call(svc::JsonObject{{"op", "rolling_restart"}});
     std::cout << response.raw << "\n";
     return response.ok ? 0 : 1;
   }
@@ -884,53 +883,29 @@ int cmd_search(const util::ArgParser& args) {
                      "timesteps", "trials", "seed", "mtbf-hours", "downtime",
                      "budget", "budget-frac", "method", "mode", "batch",
                      "init", "top-k", "samples", "obs-out"});
-  svc::RegistryOptions reg_opt;
-  reg_opt.models_dir = args.get_string("models", "");
-  reg_opt.samples = static_cast<int>(args.get_int("samples", 5));
-  std::cerr << (reg_opt.models_dir.empty()
-                    ? "calibrating models on the bundled testbed...\n"
-                    : "loading models from " + reg_opt.models_dir + "\n");
-  const svc::Registry registry = svc::Registry::open(reg_opt);
-
-  auto number = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return std::string(buf);
-  };
-  auto quoted = [](const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
-  };
-  auto number_list = [&](const std::string& text) {
-    std::string out = "[";
-    bool first = true;
-    for (const std::string& v : util::ArgParser::split_list(text)) {
-      if (!first) out += ',';
-      first = false;
-      out += number(std::strtod(v.c_str(), nullptr));
-    }
-    return out + "]";
-  };
-
-  std::string req = "{\"op\":\"search\"";
+  // Build the whole request first, so a bad flag fails before a
+  // calibration starts.
   const std::string app = args.get_string("app", "lulesh");
-  req += ",\"app\":" + quoted(app);
-  req += ",\"timesteps\":" +
-         std::to_string(args.get_int("timesteps", 100));
-  req += ",\"trials\":" + std::to_string(args.get_int("trials", 8));
-  req += ",\"seed\":" + std::to_string(args.get_int("seed", 42));
-  req += ",\"mtbf_hours\":" + number(args.get_double("mtbf-hours", 0.0));
-  req += ",\"downtime\":" + number(args.get_double("downtime", 10.0));
+  svc::JsonObject request{
+      {"op", "search"},
+      {"app", app},
+      {"timesteps", args.get_int("timesteps", 100)},
+      {"trials", args.get_int("trials", 8)},
+      {"seed", args.get_int("seed", 42)},
+      {"mtbf_hours", args.get_double("mtbf-hours", 0.0)},
+      {"downtime", args.get_double("downtime", 10.0)},
+      {"budget_fraction", args.get_double("budget-frac", 0.10)},
+      {"method", args.get_string("method", "auto")},
+      {"mode", args.get_string("mode", "single")},
+      {"batch", args.get_int("batch", 4)},
+      {"init", args.get_int("init", 0)},
+      {"top_k", args.get_int("top-k", 0)}};
+  if (args.has("budget")) request["budget"] = args.get_double("budget", 0.0);
 
   // "name=plan;name=plan" (';' because plans contain commas).
   const std::string scen_text =
       args.get_string("scenarios", "noft=;daly=L1:40");
-  req += ",\"scenarios\":[";
-  bool first = true;
+  svc::JsonArray scenarios;
   std::size_t start = 0;
   while (start <= scen_text.size()) {
     std::size_t end = scen_text.find(';', start);
@@ -942,33 +917,30 @@ int cmd_search(const util::ArgParser& args) {
     if (eq == std::string::npos)
       throw std::invalid_argument("bad --scenarios entry '" + item +
                                   "' (expected name=plan)");
-    if (!first) req += ',';
-    first = false;
-    req += "{\"name\":" + quoted(item.substr(0, eq)) +
-           ",\"plan\":" + quoted(item.substr(eq + 1)) + "}";
+    const std::string plan = item.substr(eq + 1);
+    (void)core::parse_plan(plan);
+    scenarios.emplace_back(
+        svc::JsonObject{{"name", item.substr(0, eq)}, {"plan", plan}});
   }
-  req += "]";
+  request["scenarios"] = std::move(scenarios);
 
-  const char* size_flag = app == "lulesh" ? "eprs" : "nxs";
-  req += ",\"" + std::string(size_flag) + "\":" +
-         number_list(args.get_string(size_flag,
-                                     app == "lulesh" ? "8,12,16" : "32,48"));
-  req += ",\"ranks\":" + number_list(args.get_string("ranks", "8,64"));
+  const bool lulesh = app == "lulesh";
+  const char* size_flag = lulesh ? "eprs" : "nxs";
+  const std::vector<double> sizes =
+      args.get_number_list(size_flag, lulesh ? "8,12,16" : "32,48");
+  const std::vector<double> ranks = args.get_number_list("ranks", "8,64");
+  request[size_flag] = svc::JsonArray(sizes.begin(), sizes.end());
+  request["ranks"] = svc::JsonArray(ranks.begin(), ranks.end());
 
-  if (args.has("budget"))
-    req += ",\"budget\":" + number(args.get_double("budget", 0.0));
-  req += ",\"budget_fraction\":" +
-         number(args.get_double("budget-frac", 0.10));
-  req += ",\"method\":" + quoted(args.get_string("method", "auto"));
-  req += ",\"mode\":" + quoted(args.get_string("mode", "single"));
-  req += ",\"batch\":" + std::to_string(args.get_int("batch", 4));
-  req += ",\"init\":" + std::to_string(args.get_int("init", 0));
-  req += ",\"top_k\":" + std::to_string(args.get_int("top-k", 0));
-  req += "}";
-
-  const svc::Json result =
-      svc::handle_request(registry, svc::Json::parse(req));
-  std::cout << result.dump() << "\n";
+  svc::RegistryOptions reg_opt;
+  reg_opt.models_dir = args.get_string("models", "");
+  reg_opt.samples = static_cast<int>(args.get_int("samples", 5));
+  std::cerr << (reg_opt.models_dir.empty()
+                    ? "calibrating models on the bundled testbed...\n"
+                    : "loading models from " + reg_opt.models_dir + "\n");
+  const svc::Registry registry = svc::Registry::open(reg_opt);
+  const svc::Json result = svc::handle_request(registry, std::move(request));
+  std::cout << svc::ok_payload(false, result.dump()) << "\n";
   return 0;
 }
 
