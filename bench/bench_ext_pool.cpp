@@ -26,6 +26,7 @@
 #include "sim/detail/payload_pool.hpp"
 #include "sim/event_heap.hpp"
 #include "svc/json.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
@@ -145,8 +146,8 @@ SweepResult bench_dse_sweep() {
   // overhead gate uses a bigger sample).
   std::size_t trials = 32;
   if (const char* e = std::getenv("FTBESST_BENCH_TRIALS"); e && *e) {
-    const long v = std::strtol(e, nullptr, 10);
-    if (v > 0) trials = static_cast<std::size_t>(v);
+    const auto v = util::try_parse_number<std::size_t>(e);
+    if (v && *v > 0) trials = *v;
   }
   const std::size_t kTrials = trials;
 

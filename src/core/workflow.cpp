@@ -1,12 +1,12 @@
 #include "core/workflow.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/number.hpp"
 #include "util/task_pool.hpp"
 
 namespace ftbesst::core {
@@ -80,22 +80,15 @@ std::vector<ft::PlanEntry> parse_plan(const std::string& text) {
         entry.async = true;
         period_text.pop_back();
       }
-      std::size_t used = 0;
-      int level = 0, period = 0;
-      try {
-        level = std::stoi(part.substr(1, colon - 1), &used);
-        if (used != colon - 1) throw std::invalid_argument("trailing");
-        period = std::stoi(period_text, &used);
-        if (used != period_text.size()) throw std::invalid_argument("trailing");
-      } catch (const std::invalid_argument&) {
-        throw bad("level and period must be integers");
-      } catch (const std::out_of_range&) {
-        throw bad("level or period out of range");
-      }
-      if (level < 1 || level > 4) throw bad("checkpoint level must be 1-4");
-      if (period < 1) throw bad("period must be >= 1 timestep");
-      entry.level = static_cast<ft::Level>(level);
-      entry.period = period;
+      const auto level = util::try_parse_number<int>(
+          std::string_view(part).substr(1, colon - 1));
+      const auto period = util::try_parse_number<int>(period_text);
+      if (!level || !period)
+        throw bad("level and period must be integers in range");
+      if (*level < 1 || *level > 4) throw bad("checkpoint level must be 1-4");
+      if (*period < 1) throw bad("period must be >= 1 timestep");
+      entry.level = static_cast<ft::Level>(*level);
+      entry.period = *period;
       plan.push_back(entry);
     }
     if (comma == std::string::npos) break;
@@ -239,7 +232,7 @@ std::vector<double> quantize_params(const std::vector<double>& params) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.12g", params[i]);
-    out[i] = std::strtod(buf, nullptr);
+    out[i] = util::parse_number<double>(buf, "quantized parameter");
   }
   return out;
 }

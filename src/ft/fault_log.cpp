@@ -1,11 +1,11 @@
 #include "ft/fault_log.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/number.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -16,41 +16,6 @@ namespace {
 constexpr std::string_view kFaultLogMagicV1 = "ftbesst-faultlog v1";
 constexpr std::string_view kFaultLogMagicV2 = "ftbesst-faultlog v2";
 constexpr std::string_view kTrialsKey = "trials ";
-
-// Shortest round-trip double formatting (same convention as the scenario
-// text format): what we print parses back to the identical bits.
-std::string shortest_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) throw std::logic_error("double formatting failed");
-  return std::string(buf, ptr);
-}
-
-double parse_double_tok(std::string_view tok) {
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size())
-    throw std::invalid_argument("faultlog: bad number '" + std::string(tok) +
-                                "'");
-  return v;
-}
-
-std::int64_t parse_int_tok(std::string_view tok) {
-  std::int64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (ec != std::errc{} || ptr != tok.data() + tok.size())
-    throw std::invalid_argument("faultlog: bad integer '" + std::string(tok) +
-                                "'");
-  return v;
-}
-
-FailureKind parse_kind_tok(std::string_view tok) {
-  if (tok == "crash") return FailureKind::kProcessCrash;
-  if (tok == "loss") return FailureKind::kNodeLoss;
-  if (tok == "sdc") return FailureKind::kSilentCorruption;
-  throw std::invalid_argument("faultlog: unknown failure kind '" +
-                              std::string(tok) + "'");
-}
 
 std::vector<std::string_view> split_ws(std::string_view line) {
   std::vector<std::string_view> out;
@@ -63,6 +28,26 @@ std::vector<std::string_view> split_ws(std::string_view line) {
     i = j;
   }
   return out;
+}
+
+FaultRecord parse_record(std::string_view line) {
+  const auto tok = split_ws(line);
+  if (tok.size() != 8)
+    throw std::invalid_argument("record needs 8 fields, got " +
+                                std::to_string(tok.size()) + " in '" +
+                                std::string(line) + "'");
+  FaultRecord r;
+  r.trial = util::parse_number<std::int64_t>(tok[0], "trial");
+  r.time = util::parse_number<double>(tok[1], "time");
+  r.node = util::parse_number<std::int64_t>(tok[2], "node");
+  r.kind = parse_failure_kind(tok[3]);
+  r.detect_after = util::parse_number<double>(tok[4], "detect_after");
+  r.recovery_level = util::parse_number<int>(tok[5], "recovery_level");
+  if (r.recovery_level < 0 || r.recovery_level > 4)
+    throw std::invalid_argument("recovery_level out of range");
+  r.lost_work_seconds = util::parse_number<double>(tok[6], "lost_work");
+  r.restart_cost_seconds = util::parse_number<double>(tok[7], "restart_cost");
+  return r;
 }
 
 }  // namespace
@@ -86,19 +71,19 @@ std::string FaultLog::to_text() const {
   for (const FaultRecord& r : records_) {
     out += std::to_string(r.trial);
     out += ' ';
-    out += shortest_double(r.time);
+    out += util::format_double(r.time);
     out += ' ';
     out += std::to_string(r.node);
     out += ' ';
     out += to_string(r.kind);
     out += ' ';
-    out += shortest_double(r.detect_after);
+    out += util::format_double(r.detect_after);
     out += ' ';
     out += std::to_string(r.recovery_level);
     out += ' ';
-    out += shortest_double(r.lost_work_seconds);
+    out += util::format_double(r.lost_work_seconds);
     out += ' ';
-    out += shortest_double(r.restart_cost_seconds);
+    out += util::format_double(r.restart_cost_seconds);
     out += '\n';
   }
   return out;
@@ -127,7 +112,9 @@ FaultLog FaultLog::from_text(std::string_view text) {
     if (v2 && line_no == 2) {
       const std::int64_t trials =
           line.starts_with(kTrialsKey)
-              ? parse_int_tok(line.substr(kTrialsKey.size())) : 0;
+              ? util::parse_number<std::int64_t>(
+                    line.substr(kTrialsKey.size()), "faultlog: trials")
+              : 0;
       if (trials < 1)
         throw std::invalid_argument(
             "faultlog: v2 needs a 'trials N' line (N >= 1) after the magic");
@@ -135,23 +122,13 @@ FaultLog FaultLog::from_text(std::string_view text) {
       continue;
     }
     if (line.empty()) continue;
-    const auto tok = split_ws(line);
-    if (tok.size() != 8)
-      throw std::invalid_argument(
-          "faultlog: record needs 8 fields, got " +
-          std::to_string(tok.size()) + " in '" + std::string(line) + "'");
     FaultRecord r;
-    r.trial = parse_int_tok(tok[0]);
-    r.time = parse_double_tok(tok[1]);
-    r.node = parse_int_tok(tok[2]);
-    r.kind = parse_kind_tok(tok[3]);
-    r.detect_after = parse_double_tok(tok[4]);
-    const std::int64_t level = parse_int_tok(tok[5]);
-    if (level < 0 || level > 4)
-      throw std::invalid_argument("faultlog: recovery_level out of range");
-    r.recovery_level = static_cast<int>(level);
-    r.lost_work_seconds = parse_double_tok(tok[6]);
-    r.restart_cost_seconds = parse_double_tok(tok[7]);
+    try {
+      r = parse_record(line);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("faultlog line " + std::to_string(line_no) +
+                                  ": " + e.what());
+    }
     if (log.trials_ > 0 &&
         (r.trial < 0 || static_cast<std::uint64_t>(r.trial) >= log.trials_))
       throw std::invalid_argument("faultlog: record trial " +
@@ -169,12 +146,12 @@ void FaultLog::write_csv(std::ostream& os) const {
   table.set_header({"trial", "time_s", "node", "kind", "detect_after_s",
                     "recovery_level", "lost_work_s", "restart_cost_s"});
   for (const FaultRecord& r : records_)
-    table.add_row({std::to_string(r.trial), shortest_double(r.time),
+    table.add_row({std::to_string(r.trial), util::format_double(r.time),
                    std::to_string(r.node), to_string(r.kind),
-                   shortest_double(r.detect_after),
+                   util::format_double(r.detect_after),
                    std::to_string(r.recovery_level),
-                   shortest_double(r.lost_work_seconds),
-                   shortest_double(r.restart_cost_seconds)});
+                   util::format_double(r.lost_work_seconds),
+                   util::format_double(r.restart_cost_seconds)});
   table.write_csv(os);
 }
 

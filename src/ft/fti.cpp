@@ -26,6 +26,15 @@ std::string to_string(FailureKind kind) {
   return "?";
 }
 
+FailureKind parse_failure_kind(std::string_view text) {
+  for (const FailureKind kind :
+       {FailureKind::kProcessCrash, FailureKind::kNodeLoss,
+        FailureKind::kSilentCorruption})
+    if (text == to_string(kind)) return kind;
+  throw std::invalid_argument("unknown failure kind '" + std::string(text) +
+                              "' (expected crash, loss or sdc)");
+}
+
 void FtiConfig::validate(std::int64_t ranks) const {
   if (group_size < 2)
     throw std::invalid_argument("FTI group_size must be >= 2");

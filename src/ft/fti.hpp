@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ftbesst::ft {
@@ -43,6 +44,9 @@ enum class FailureKind {
 };
 
 [[nodiscard]] std::string to_string(FailureKind kind);
+/// The inverse of to_string(FailureKind), the one kind parse for fault-log
+/// text; throws std::invalid_argument on any other spelling.
+[[nodiscard]] FailureKind parse_failure_kind(std::string_view text);
 
 struct FtiConfig {
   int group_size = 4;  ///< nodes per FTI group

@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/number.hpp"
+
 namespace ftbesst::model {
 
 namespace {
@@ -355,31 +357,14 @@ class SexprParser {
     return text_.substr(start, pos_ - start);
   }
 
-  // stod/stoul also throw std::out_of_range; a malformed expression must
-  // surface as invalid_argument only (the documented contract for every
-  // parser fed untrusted text), so the raw conversions are wrapped.
   double number_token() {
-    const std::string t = token();
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad numeric token '" + t + "'");
-    }
+    return util::parse_number<double>(token(), "const");
   }
+  // The bytecode compiler packs variable indices into 16 bits; accepting a
+  // wider index here would defer the failure to compile time with the
+  // wrong exception type.
   std::size_t index_token() {
-    const std::string t = token();
-    std::size_t index = 0;
-    try {
-      index = static_cast<std::size_t>(std::stoul(t));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad variable index '" + t + "'");
-    }
-    // The bytecode compiler packs variable indices into 16 bits; accepting
-    // a wider index here would defer the failure to compile time with the
-    // wrong exception type.
-    if (index > std::numeric_limits<std::uint16_t>::max())
-      throw std::invalid_argument("variable index out of range '" + t + "'");
-    return index;
+    return util::parse_number<std::uint16_t>(token(), "var index");
   }
 
   std::unique_ptr<ExprNode> parse_node() {

@@ -10,6 +10,7 @@
 #include "model/feature_model.hpp"
 #include "model/powerlaw.hpp"
 #include "model/symreg.hpp"
+#include "util/number.hpp"
 
 namespace ftbesst::model {
 
@@ -25,7 +26,8 @@ constexpr std::size_t kMaxFeatureParams = 64;
 
 // Every numeric field must survive a text round-trip exactly; NaN and
 // infinity would serialize, reload, and then silently poison every
-// downstream prediction, so both save and load refuse them up front.
+// downstream prediction, so save refuses them here (and load, through
+// util::parse_number, never reads them).
 double checked_finite(double v, const char* what) {
   if (!std::isfinite(v))
     throw std::invalid_argument(std::string("non-finite ") + what +
@@ -75,72 +77,89 @@ std::string read_line(std::istream& is) {
   return line;
 }
 
+/// One whitespace-separated line of a model stream. Every field read
+/// names itself, and a line must be read to its end: a leftover token is
+/// an error, not ignored.
+class LineReader {
+ public:
+  explicit LineReader(const std::string& line) : ls_(line) {}
+
+  std::string word(const char* what) {
+    std::string w;
+    if (!(ls_ >> w))
+      throw std::invalid_argument(std::string("model line lacks its ") + what);
+    return w;
+  }
+  template <typename T>
+  T number(const char* what) {
+    return util::parse_number<T>(word(what), what);
+  }
+  void finish() {
+    std::string extra;
+    if (ls_ >> extra)
+      throw std::invalid_argument("unexpected '" + extra +
+                                  "' at the end of a model line");
+  }
+
+ private:
+  std::istringstream ls_;
+};
+
 PerfModelPtr load_model_body(std::istream& is) {
-  std::string line = read_line(is);
-  std::istringstream ls(line);
-  std::string kind;
-  ls >> kind;
+  LineReader line(read_line(is));
+  const std::string kind = line.word("model kind");
   if (kind == "noisy") {
-    double sigma = 0.0;
-    if (!(ls >> sigma)) throw std::invalid_argument("bad noisy line");
-    checked_finite(sigma, "noisy log_sigma");
+    const double sigma = line.number<double>("noisy log_sigma");
+    line.finish();
     PerfModelPtr base = load_model_body(is);
     return std::make_shared<NoisyModel>(std::move(base), sigma);
   }
   if (kind == "constant") {
-    double value = 0.0;
-    if (!(ls >> value)) throw std::invalid_argument("bad constant line");
-    checked_finite(value, "constant value");
+    const double value = line.number<double>("constant value");
+    line.finish();
     return std::make_shared<ConstantModel>(value);
   }
   if (kind == "powerlaw") {
-    double coeff = 0.0;
-    std::size_t n = 0;
-    if (!(ls >> coeff >> n)) throw std::invalid_argument("bad powerlaw line");
+    const double coeff = line.number<double>("powerlaw coefficient");
+    const auto n = line.number<std::size_t>("powerlaw exponent count");
     if (n > kMaxSerializedTerms)
       throw std::invalid_argument("powerlaw exponent count too large");
-    checked_finite(coeff, "powerlaw coefficient");
     std::vector<double> exponents(n);
-    for (auto& e : exponents) {
-      if (!(ls >> e)) throw std::invalid_argument("bad powerlaw exponents");
-      checked_finite(e, "powerlaw exponent");
-    }
+    for (auto& e : exponents) e = line.number<double>("powerlaw exponent");
+    line.finish();
     return std::make_shared<PowerLawModel>(coeff, std::move(exponents));
   }
   if (kind == "exprmodel") {
-    double scale = 1.0, offset = 0.0;
-    std::size_t n = 0;
-    if (!(ls >> scale >> offset >> n))
-      throw std::invalid_argument("bad exprmodel line");
+    const double scale = line.number<double>("exprmodel scale");
+    const double offset = line.number<double>("exprmodel offset");
+    const auto n = line.number<std::size_t>("exprmodel parameter count");
     if (n > kMaxSerializedTerms)
       throw std::invalid_argument("exprmodel parameter count too large");
-    checked_finite(scale, "exprmodel scale");
-    checked_finite(offset, "exprmodel offset");
     std::vector<std::string> names(n);
-    for (auto& name : names)
-      if (!(ls >> name)) throw std::invalid_argument("bad exprmodel names");
+    for (auto& name : names) name = line.word("exprmodel parameter name");
+    line.finish();
     const std::string sexpr = read_line(is);
     return std::make_shared<ExprModel>(Expr::from_sexpr(sexpr), scale, offset,
                                        std::move(names));
   }
   if (kind == "featuremodel") {
-    std::string lib_kind;
-    std::size_t num_params = 0, num_weights = 0;
-    if (!(ls >> lib_kind >> num_params >> num_weights) ||
-        lib_kind != "polynomial")
-      throw std::invalid_argument("bad featuremodel line");
+    const std::string lib_kind = line.word("featuremodel library");
+    const auto num_params = line.number<std::size_t>("featuremodel params");
+    const auto num_weights = line.number<std::size_t>("featuremodel weights");
+    line.finish();
+    if (lib_kind != "polynomial")
+      throw std::invalid_argument("unknown featuremodel library '" +
+                                  lib_kind + "'");
     if (num_params > kMaxFeatureParams ||
         num_weights > kMaxSerializedTerms)
       throw std::invalid_argument("featuremodel counts too large");
     auto lib = FeatureLibrary::polynomial(num_params);
     if (lib.size() != num_weights)
       throw std::invalid_argument("feature count mismatch on load");
-    std::istringstream ws(read_line(is));
+    LineReader weights_line(read_line(is));
     std::vector<double> weights(num_weights);
-    for (auto& w : weights) {
-      if (!(ws >> w)) throw std::invalid_argument("bad feature weights");
-      checked_finite(w, "feature weight");
-    }
+    for (auto& w : weights) w = weights_line.number<double>("feature weight");
+    weights_line.finish();
     return std::make_shared<FeatureModel>(std::move(lib), std::move(weights));
   }
   throw std::invalid_argument("unknown model kind '" + kind + "'");
@@ -242,18 +261,8 @@ Dataset load_dataset(std::istream& is) {
     std::istringstream ls(line);
     std::vector<double> values;
     std::string cell;
-    while (std::getline(ls, cell, ',')) {
-      std::size_t used = 0;
-      double v = 0.0;
-      try {
-        v = std::stod(cell, &used);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad dataset cell '" + cell + "'");
-      }
-      if (used != cell.size())
-        throw std::invalid_argument("bad dataset cell '" + cell + "'");
-      values.push_back(checked_finite(v, "dataset cell"));
-    }
+    while (std::getline(ls, cell, ','))
+      values.push_back(util::parse_number<double>(cell, "dataset cell"));
     if (values.size() != names.size() + 1)
       throw std::invalid_argument("dataset row width mismatch");
     std::vector<double> params(values.begin(), values.end() - 1);

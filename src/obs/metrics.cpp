@@ -8,6 +8,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "util/number.hpp"
+
 namespace ftbesst::obs {
 
 namespace detail {
@@ -373,7 +375,7 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     os << (i ? ",\n    " : "\n    ");
     json_escape(os, gauges[i].first);
-    os << ": " << gauges[i].second;
+    os << ": " << util::format_double(gauges[i].second);
   }
   os << (gauges.empty() ? "},\n" : "\n  },\n");
   os << "  \"histograms\": {";
@@ -381,13 +383,14 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
     const HistogramSnapshot& hs = histograms[h];
     os << (h ? ",\n    " : "\n    ");
     json_escape(os, hs.name);
-    os << ": {\"count\": " << hs.count << ", \"sum\": " << hs.sum
+    os << ": {\"count\": " << hs.count
+       << ", \"sum\": " << util::format_double(hs.sum)
        << ", \"buckets\": [";
     for (std::size_t b = 0; b < hs.buckets.size(); ++b) {
       if (b) os << ", ";
       os << "{\"le\": ";
       if (b < hs.bounds.size())
-        os << hs.bounds[b];
+        os << util::format_double(hs.bounds[b]);
       else
         os << "null";
       os << ", \"n\": " << hs.buckets[b] << '}';

@@ -1,10 +1,12 @@
 #include "search/search.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
+
+#include "util/number.hpp"
 
 namespace ftbesst::search {
 
@@ -15,18 +17,10 @@ namespace {
 /// penalization factor still multiplies through cleanly.
 constexpr double kUnseenClassScore = 1e300;
 
-/// Shortest round-trip double formatting — byte equality of the rendered
-/// text is exactly bit equality of the doubles.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
 void append_params(std::string& out, const std::vector<double>& params) {
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (i) out += ',';
-    append_double(out, params[i]);
+    util::append_double(out, params[i]);
   }
 }
 
@@ -36,9 +30,9 @@ void append_cell_line(std::string& out, const char* tag,
   out += ' ';
   out += std::to_string(cell.flat);
   out += ' ';
-  append_double(out, cell.objective);
+  util::append_double(out, cell.objective);
   out += ' ';
-  append_double(out, cell.recoverability);
+  util::append_double(out, cell.recoverability);
   out += ' ';
   append_params(out, cell.params);
   out += ' ';
@@ -161,9 +155,23 @@ SearchResult run_gp(const SearchSpace& space, const SearchOptions& options,
     ++st.result.warm_hits;
   }
 
-  if (st.affordable() == 0 && st.result.history.empty())
+  if (st.affordable() == 0 && st.result.history.empty()) {
+    // The smallest fraction whose budget, as fraction_of computes it,
+    // covers one cell at the requested trials.
+    const double cell_units = static_cast<double>(options.trials);
+    double fraction = 1.0 / static_cast<double>(space.size());
+    while (core::DseBudget::fraction_of(space.size(), options.trials, fraction)
+               .total() < cell_units)
+      fraction = std::nextafter(fraction, 2.0);
     throw std::invalid_argument(
-        "search budget cannot afford a single evaluation");
+        "search budget cannot afford a single evaluation: one cell costs " +
+        util::format_double(cell_units) + " units at " +
+        std::to_string(options.trials) + " trials, the budget has " +
+        util::format_double(budget.remaining()) + " units; the smallest " +
+        "--budget-frac (budget_fraction) that affords one cell of this " +
+        std::to_string(space.size()) + "-cell space is " +
+        util::format_double(fraction));
+  }
 
   // Initial design.
   {
@@ -421,10 +429,10 @@ std::string SearchResult::to_text() const {
   out += "evaluations " + std::to_string(evaluations) + '\n';
   out += "warm_hits " + std::to_string(warm_hits) + '\n';
   out += "budget_units ";
-  append_double(out, budget_units);
+  util::append_double(out, budget_units);
   out += '\n';
   out += "trial_units ";
-  append_double(out, trial_units);
+  util::append_double(out, trial_units);
   out += '\n';
   append_cell_line(out, "best", best);
   out += "pareto " + std::to_string(pareto.size()) + '\n';
@@ -436,7 +444,7 @@ std::string SearchResult::to_text() const {
     out += ' ';
     out += std::to_string(h.trials);
     out += h.warm ? " warm " : " cold ";
-    append_double(out, h.objective);
+    util::append_double(out, h.objective);
     out += '\n';
   }
   return out;

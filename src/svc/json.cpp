@@ -1,9 +1,11 @@
 #include "svc/json.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
+
+#include "util/number.hpp"
 
 namespace ftbesst::svc {
 
@@ -41,9 +43,7 @@ void append_escaped(std::string& out, const std::string& s) {
 void append_number(std::string& out, double d) {
   if (!std::isfinite(d))
     throw std::invalid_argument("json: cannot serialize non-finite number");
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof buf, d);
-  out.append(buf, r.ptr);
+  util::append_double(out, d);
 }
 
 class Parser {
@@ -213,7 +213,7 @@ class Parser {
   double number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    // JSON forbids leading zeros ("01"), which from_chars would accept.
+    // JSON forbids leading zeros ("01"), which the number codec accepts.
     if (pos_ + 1 < text_.size() && text_[pos_] == '0' &&
         text_[pos_ + 1] >= '0' && text_[pos_ + 1] <= '9')
       fail("bad number (leading zero)");
@@ -225,18 +225,13 @@ class Parser {
       else
         break;
     }
-    double out = 0.0;
-    const auto r =
-        std::from_chars(text_.data() + start, text_.data() + pos_, out);
-    if (r.ec != std::errc{} || r.ptr != text_.data() + pos_ || pos_ == start) {
+    const std::optional<double> out =
+        util::try_parse_number<double>(text_.substr(start, pos_ - start));
+    if (!out) {
       pos_ = start;
       fail("bad number");
     }
-    if (!std::isfinite(out)) {
-      pos_ = start;
-      fail("number out of range");
-    }
-    return out;
+    return *out;
   }
 
   std::string_view text_;

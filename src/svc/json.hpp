@@ -5,12 +5,12 @@
 //
 //   1. *Canonical dumps.* Objects store their members in a std::map, so
 //      dump() always emits keys in sorted order, with no whitespace, and
-//      numbers are formatted with std::to_chars — the shortest decimal
-//      that round-trips the exact binary64 value. parse(dump(v)) == v and
-//      dump(parse(dump(v))) == dump(v), which is what lets the service
-//      content-address requests: the canonical dump of a request (minus
-//      volatile fields) IS its cache key, independent of how the client
-//      spelled numbers, ordered keys, or spaced the text.
+//      numbers are formatted with util::append_double — the shortest
+//      decimal that round-trips the exact binary64 value.
+//      parse(dump(v)) == v and dump(parse(dump(v))) == dump(v), which is
+//      what lets the service content-address requests: the canonical dump
+//      of a request (minus volatile fields) IS its cache key, independent
+//      of how the client spelled numbers, ordered keys, or spaced the text.
 //
 //   2. *Hostile-input safety.* parse() is fed bytes straight off a socket;
 //      it throws std::invalid_argument (never crashes, never recurses

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
+
+#include "util/number.hpp"
 
 namespace ftbesst::util {
 
@@ -40,46 +41,22 @@ std::string ArgParser::get_string(const std::string& flag,
   return get(flag).value_or(fallback);
 }
 
-namespace {
-
-// Parse all of `text` as a T; anything left over ("24x"), or nothing
-// parsed, is an error naming the flag.
-template <typename T>
-T parse_full(const std::string& flag, const std::string& text) {
-  constexpr bool integral = std::is_integral_v<T>;
-  std::size_t used = 0;
-  try {
-    T value;
-    if constexpr (integral)
-      value = std::stoll(text, &used);
-    else
-      value = std::stod(text, &used);
-    if (used == text.size()) return value;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("flag --" + flag + " expects " +
-                              (integral ? "an integer" : "a number") +
-                              ", got '" + text + "'");
-}
-
-}  // namespace
-
 std::int64_t ArgParser::get_int(const std::string& flag,
                                 std::int64_t fallback) const {
   const auto v = get(flag);
-  return v ? parse_full<std::int64_t>(flag, *v) : fallback;
+  return v ? parse_number<std::int64_t>(*v, "flag --" + flag) : fallback;
 }
 
 double ArgParser::get_double(const std::string& flag, double fallback) const {
   const auto v = get(flag);
-  return v ? parse_full<double>(flag, *v) : fallback;
+  return v ? parse_number<double>(*v, "flag --" + flag) : fallback;
 }
 
 std::vector<double> ArgParser::get_number_list(
     const std::string& flag, const std::string& fallback) const {
   std::vector<double> out;
   for (const std::string& entry : split_list(get_string(flag, fallback)))
-    out.push_back(parse_full<double>(flag, entry));
+    out.push_back(parse_number<double>(entry, "flag --" + flag));
   return out;
 }
 

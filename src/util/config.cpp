@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/number.hpp"
+
 namespace ftbesst::util {
 
 namespace {
@@ -99,25 +101,14 @@ std::int64_t Config::get_int(const std::string& section,
                              const std::string& key,
                              std::int64_t fallback) const {
   const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("[" + section + "] " + key +
-                                " expects an integer, got '" + *v + "'");
-  }
+  return v ? parse_number<std::int64_t>(*v, "[" + section + "] " + key)
+           : fallback;
 }
 
 double Config::get_double(const std::string& section, const std::string& key,
                           double fallback) const {
   const auto v = get(section, key);
-  if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("[" + section + "] " + key +
-                                " expects a number, got '" + *v + "'");
-  }
+  return v ? parse_number<double>(*v, "[" + section + "] " + key) : fallback;
 }
 
 bool Config::get_bool(const std::string& section, const std::string& key,

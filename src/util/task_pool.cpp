@@ -5,6 +5,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
+#include "util/number.hpp"
 
 namespace ftbesst::util {
 
@@ -34,8 +35,8 @@ PoolMetrics& pool_metrics() {
 
 unsigned default_worker_count() {
   if (const char* env = std::getenv("FTBESST_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<unsigned>(parsed);
+    const auto parsed = try_parse_number<unsigned>(env);
+    if (parsed && *parsed > 0) return *parsed;
   }
   return std::thread::hardware_concurrency();
 }

@@ -8,7 +8,7 @@
 
 #include "core/engine_des.hpp"
 #include "core/montecarlo.hpp"
-#include "verify/format.hpp"
+#include "util/number.hpp"
 
 namespace ftbesst::verify {
 
@@ -29,7 +29,7 @@ void append_series(std::string& out, const char* key,
   out += key;
   for (double x : xs) {
     out += ' ';
-    append_double(out, x);
+    util::append_double(out, x);
   }
   out += '\n';
 }
@@ -62,14 +62,15 @@ std::string result_to_text(const Scenario& s, unsigned threads) {
   out += '\n';
   out += "trials " + std::to_string(r.total.count) + '\n';
   out += "incomplete " + std::to_string(r.incomplete_trials) + '\n';
-  out += "mean " + format_double(r.total.mean) + '\n';
-  out += "stddev " + format_double(r.total.stddev) + '\n';
-  out += "min " + format_double(r.total.min) + '\n';
-  out += "max " + format_double(r.total.max) + '\n';
-  out += "median " + format_double(r.total.median) + '\n';
-  out += "mean_faults " + format_double(r.mean_faults) + '\n';
-  out += "mean_rollbacks " + format_double(r.mean_rollbacks) + '\n';
-  out += "mean_full_restarts " + format_double(r.mean_full_restarts) + '\n';
+  out += "mean " + util::format_double(r.total.mean) + '\n';
+  out += "stddev " + util::format_double(r.total.stddev) + '\n';
+  out += "min " + util::format_double(r.total.min) + '\n';
+  out += "max " + util::format_double(r.total.max) + '\n';
+  out += "median " + util::format_double(r.total.median) + '\n';
+  out += "mean_faults " + util::format_double(r.mean_faults) + '\n';
+  out += "mean_rollbacks " + util::format_double(r.mean_rollbacks) + '\n';
+  out += "mean_full_restarts " + util::format_double(r.mean_full_restarts) +
+         '\n';
   append_series(out, "totals", r.totals);
   append_series(out, "timestep_end", r.mean_timestep_end);
   return out;
@@ -146,7 +147,7 @@ namespace {
 std::string des_result_to_text(const core::RunResult& r) {
   std::string out = "ftbesst-verify-des-result v1\n";
   out += "completed " + std::to_string(r.completed ? 1 : 0) + '\n';
-  out += "total " + format_double(r.total_seconds) + '\n';
+  out += "total " + util::format_double(r.total_seconds) + '\n';
   out += "instructions " + std::to_string(r.instructions_executed) + '\n';
   out += "faults " + std::to_string(r.faults) + '\n';
   out += "rollbacks " + std::to_string(r.rollbacks) + '\n';

@@ -12,7 +12,7 @@
 #include "core/montecarlo.hpp"
 #include "ft/young_daly.hpp"
 #include "inject/campaign.hpp"
-#include "verify/format.hpp"
+#include "util/number.hpp"
 #include "verify/reference.hpp"
 
 namespace ftbesst::verify {
@@ -31,11 +31,11 @@ std::string pair_detail(const std::string& what, double a, const char* a_name,
   d += ": ";
   d += a_name;
   d += '=';
-  append_double(d, a);
+  util::append_double(d, a);
   d += ' ';
   d += b_name;
   d += '=';
-  append_double(d, b);
+  util::append_double(d, b);
   return d;
 }
 

@@ -1,16 +1,21 @@
 #include "verify/fuzz.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 
 #include "core/workflow.hpp"
-#include "verify/format.hpp"
+#include "ft/fault_log.hpp"
 #include "model/feature_model.hpp"
 #include "model/serialize.hpp"
 #include "svc/json.hpp"
 #include "svc/wire.hpp"
+#include "util/config.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 #include "verify/scenario.hpp"
 
@@ -150,6 +155,76 @@ bool fuzz_model_one(const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
+bool fuzz_config_one(const std::uint8_t* data, std::size_t size) {
+  util::Config cfg;
+  try {
+    cfg = util::Config::parse(std::string(as_text(data, size)));
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  // Every value reads through each typed getter as a value or a clean
+  // rejection, and a number the reader took survives its shortest form.
+  for (const std::string& section : cfg.sections())
+    for (const std::string& key : cfg.keys(section)) {
+      try {
+        (void)cfg.get_int(section, key, 0);
+      } catch (const std::invalid_argument&) {
+      }
+      try {
+        (void)cfg.get_bool(section, key, false);
+      } catch (const std::invalid_argument&) {
+      }
+      double v = 0.0;
+      try {
+        v = cfg.get_double(section, key, 0.0);
+      } catch (const std::invalid_argument&) {
+        continue;
+      }
+      const std::optional<double> back =
+          util::try_parse_number<double>(util::format_double(v));
+      if (!back || std::bit_cast<std::uint64_t>(*back) !=
+                       std::bit_cast<std::uint64_t>(v))
+        invariant_violated("config", "a number does not round-trip");
+    }
+  return true;
+}
+
+bool fuzz_scenario_one(const std::uint8_t* data, std::size_t size) {
+  std::string canonical;
+  try {
+    canonical = Scenario::from_text(std::string(as_text(data, size))).to_text();
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  std::string again;
+  try {
+    again = Scenario::from_text(canonical).to_text();
+  } catch (const std::invalid_argument&) {
+    invariant_violated("scenario", "canonical text failed to re-parse");
+  }
+  if (again != canonical)
+    invariant_violated("scenario", "to_text is not a fixpoint");
+  return true;
+}
+
+bool fuzz_faultlog_one(const std::uint8_t* data, std::size_t size) {
+  std::string canonical;
+  try {
+    canonical = ft::FaultLog::from_text(as_text(data, size)).to_text();
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  std::string again;
+  try {
+    again = ft::FaultLog::from_text(canonical).to_text();
+  } catch (const std::invalid_argument&) {
+    invariant_violated("faultlog", "written log failed to re-read");
+  }
+  if (again != canonical)
+    invariant_violated("faultlog", "to_text is not a fixpoint");
+  return true;
+}
+
 // --- grammar-based generators --------------------------------------------
 
 namespace {
@@ -168,8 +243,8 @@ void gen_json_value(util::Rng& rng, int depth, std::string& out) {
       switch (rng.uniform_int(4)) {
         case 0: out += std::to_string(static_cast<std::int64_t>(
                     rng.uniform_int(1u << 20)) - (1 << 19)); break;
-        case 1: out += format_double(rng.uniform(-1e6, 1e6)); break;
-        case 2: out += format_double(rng.uniform(0.0, 1.0)); break;
+        case 1: out += util::format_double(rng.uniform(-1e6, 1e6)); break;
+        case 2: out += util::format_double(rng.uniform(0.0, 1.0)); break;
         default: out += std::to_string(rng.uniform_int(100)) + "e" +
                         std::to_string(static_cast<int>(rng.uniform_int(17)) -
                                        8); break;
@@ -283,7 +358,7 @@ void gen_sexpr(util::Rng& rng, int depth, std::string& out) {
       depth >= 5 ? rng.uniform_int(2) : rng.uniform_int(6);
   switch (kind) {
     case 0:
-      out += "(const " + format_double(rng.uniform(-10.0, 10.0)) + ")";
+      out += "(const " + util::format_double(rng.uniform(-10.0, 10.0)) + ")";
       break;
     case 1:
       out += "(var " + std::to_string(rng.uniform_int(4)) + ")";
@@ -311,25 +386,26 @@ void gen_sexpr(util::Rng& rng, int depth, std::string& out) {
 
 std::string gen_model(util::Rng& rng) {
   std::string out = "ftbesst-model v1\n";
-  if (rng.uniform() < 0.25) out += "noisy " + format_double(
+  if (rng.uniform() < 0.25) out += "noisy " + util::format_double(
                                         rng.uniform(0.0, 0.5)) + "\n";
   switch (rng.uniform_int(4)) {
     case 0:
-      out += "constant " + format_double(rng.uniform(0.0, 100.0)) + "\n";
+      out += "constant " + util::format_double(rng.uniform(0.0, 100.0)) + "\n";
       break;
     case 1: {
       const std::uint64_t n = rng.uniform_int(4);
-      out += "powerlaw " + format_double(rng.uniform(0.1, 10.0)) + " " +
+      out += "powerlaw " + util::format_double(rng.uniform(0.1, 10.0)) + " " +
              std::to_string(n);
       for (std::uint64_t i = 0; i < n; ++i)
-        out += " " + format_double(rng.uniform(-2.0, 2.0));
+        out += " " + util::format_double(rng.uniform(-2.0, 2.0));
       out += "\n";
       break;
     }
     case 2: {
       const std::uint64_t n = rng.uniform_int(3);
-      out += "exprmodel " + format_double(rng.uniform(0.1, 10.0)) + " " +
-             format_double(rng.uniform(-1.0, 1.0)) + " " + std::to_string(n);
+      out += "exprmodel " + util::format_double(rng.uniform(0.1, 10.0)) + " " +
+             util::format_double(rng.uniform(-1.0, 1.0)) + " " +
+             std::to_string(n);
       for (std::uint64_t i = 0; i < n; ++i)
         out += " p" + std::to_string(i);
       out += "\n";
@@ -345,12 +421,74 @@ std::string gen_model(util::Rng& rng) {
              std::to_string(weights) + "\n";
       for (std::size_t i = 0; i < weights; ++i) {
         if (i) out += ' ';
-        out += format_double(rng.uniform(-5.0, 5.0));
+        out += util::format_double(rng.uniform(-5.0, 5.0));
       }
       out += "\n";
       break;
     }
   }
+  return out;
+}
+
+/// A number spelling, usually well-formed, sometimes one the codec must
+/// reject.
+std::string gen_number(util::Rng& rng) {
+  static const char* const odd[] = {"3x", "0x10", "nan", "inf", "+1", " 1",
+                                    "2.5e", "1e400", "", "-0",
+                                    "99999999999999999999"};
+  switch (rng.uniform_int(4)) {
+    case 0: return std::to_string(rng.uniform_int(1000));
+    case 1: return util::format_double(rng.uniform(-1e6, 1e6));
+    case 2: return util::format_double(rng.uniform(0.0, 1.0));
+    default: return odd[rng.uniform_int(std::size(odd))];
+  }
+}
+
+std::string gen_config(util::Rng& rng) {
+  std::string out;
+  const std::uint64_t sections = 1 + rng.uniform_int(3);
+  for (std::uint64_t s = 0; s < sections; ++s) {
+    out += "[s" + std::to_string(s) + "]\n";
+    const std::uint64_t keys = rng.uniform_int(4);
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      out += "k" + std::to_string(k) + " = ";
+      out += rng.uniform() < 0.2 ? (rng.uniform() < 0.5 ? "true" : "off")
+                                 : gen_number(rng);
+      if (rng.uniform() < 0.2) out += "  # note";
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+std::string gen_scenario(util::Rng& rng) {
+  std::string out = ScenarioGenerator(rng()).next().to_text();
+  if (rng.uniform() < 0.3) out += "kernel_cost " + gen_number(rng) + '\n';
+  return out;
+}
+
+std::string gen_faultlog(util::Rng& rng) {
+  ft::FaultLog log;
+  const std::uint64_t trials = rng.uniform_int(4);  // 0 = a v1 log
+  log.set_trials(trials);
+  const std::uint64_t records = rng.uniform_int(5);
+  for (std::uint64_t i = 0; i < records; ++i) {
+    ft::FaultRecord r;
+    r.trial = static_cast<std::int64_t>(rng.uniform_int(trials ? trials : 9));
+    r.time = rng.uniform(0.0, 1e4);
+    r.node = static_cast<std::int64_t>(rng.uniform_int(64));
+    r.kind = static_cast<ft::FailureKind>(rng.uniform_int(3));
+    r.detect_after = r.kind == ft::FailureKind::kSilentCorruption
+                         ? rng.uniform(0.0, 10.0)
+                         : 0.0;
+    r.recovery_level = static_cast<int>(rng.uniform_int(5));
+    r.lost_work_seconds = rng.uniform(0.0, 100.0);
+    r.restart_cost_seconds = rng.uniform(0.0, 5.0);
+    log.add(r);
+  }
+  std::string out = log.to_text();
+  if (rng.uniform() < 0.3)
+    out += "0 " + gen_number(rng) + " 1 crash 0 1 0 0\n";
   return out;
 }
 
@@ -452,10 +590,25 @@ FuzzResult fuzz_model(std::uint64_t seed, std::uint64_t iterations) {
   return run_campaign("model", seed, iterations, gen_model, fuzz_model_one);
 }
 
+FuzzResult fuzz_config(std::uint64_t seed, std::uint64_t iterations) {
+  return run_campaign("config", seed, iterations, gen_config,
+                      fuzz_config_one);
+}
+FuzzResult fuzz_scenario(std::uint64_t seed, std::uint64_t iterations) {
+  return run_campaign("scenario", seed, iterations, gen_scenario,
+                      fuzz_scenario_one);
+}
+FuzzResult fuzz_faultlog(std::uint64_t seed, std::uint64_t iterations) {
+  return run_campaign("faultlog", seed, iterations, gen_faultlog,
+                      fuzz_faultlog_one);
+}
+
 std::vector<FuzzResult> fuzz_all(std::uint64_t seed,
                                  std::uint64_t iterations) {
-  return {fuzz_json(seed, iterations), fuzz_wire(seed, iterations),
-          fuzz_plan(seed, iterations), fuzz_model(seed, iterations)};
+  return {fuzz_json(seed, iterations),     fuzz_wire(seed, iterations),
+          fuzz_plan(seed, iterations),     fuzz_model(seed, iterations),
+          fuzz_config(seed, iterations),   fuzz_scenario(seed, iterations),
+          fuzz_faultlog(seed, iterations)};
 }
 
 std::vector<std::uint8_t> fuzz_unhex(const std::string& hex) {

@@ -1,13 +1,17 @@
 #pragma once
 // Structure-aware fuzzing for every parser that eats untrusted bytes:
 // svc::Json, the wire frame codec (extract_frame), the checkpoint-plan
-// grammar (core::parse_plan), and the model-serialize loader.
+// grammar (core::parse_plan), the model-serialize loader, the INI config
+// reader (util::Config), the scenario format (Scenario::from_text) and the
+// fault-log text (ft::FaultLog::from_text).
 //
 // Each target has a single-input entry point `fuzz_<target>_one(data,
 // size)` with libFuzzer semantics: feed the bytes to the parser, and if
 // they are accepted, check the target's invariants (canonical-dump
 // fixpoint, incremental-vs-whole framing equivalence, plan round-trip,
-// serialize round-trip). The ONLY exception a target may raise on hostile
+// serialize round-trip, config numbers that survive their shortest form,
+// scenario and fault-log text that re-reads to the same bytes). The ONLY
+// exception a target may raise on hostile
 // input is std::invalid_argument, which the entry catches and counts as a
 // clean rejection; an invariant violation throws std::logic_error, and any
 // other escaping exception type is itself a bug. The same entries back
@@ -29,6 +33,9 @@ bool fuzz_json_one(const std::uint8_t* data, std::size_t size);
 bool fuzz_wire_one(const std::uint8_t* data, std::size_t size);
 bool fuzz_plan_one(const std::uint8_t* data, std::size_t size);
 bool fuzz_model_one(const std::uint8_t* data, std::size_t size);
+bool fuzz_config_one(const std::uint8_t* data, std::size_t size);
+bool fuzz_scenario_one(const std::uint8_t* data, std::size_t size);
+bool fuzz_faultlog_one(const std::uint8_t* data, std::size_t size);
 
 struct FuzzBug {
   std::uint64_t iteration = 0;
@@ -60,8 +67,14 @@ struct FuzzResult {
                                    std::uint64_t iterations);
 [[nodiscard]] FuzzResult fuzz_model(std::uint64_t seed,
                                     std::uint64_t iterations);
+[[nodiscard]] FuzzResult fuzz_config(std::uint64_t seed,
+                                     std::uint64_t iterations);
+[[nodiscard]] FuzzResult fuzz_scenario(std::uint64_t seed,
+                                       std::uint64_t iterations);
+[[nodiscard]] FuzzResult fuzz_faultlog(std::uint64_t seed,
+                                       std::uint64_t iterations);
 
-/// All four targets with the same per-target budget.
+/// All seven targets with the same per-target budget.
 [[nodiscard]] std::vector<FuzzResult> fuzz_all(std::uint64_t seed,
                                                std::uint64_t iterations);
 

@@ -6,11 +6,12 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/workflow.hpp"
 #include "model/perf_model.hpp"
 #include "net/topology.hpp"
-#include "verify/format.hpp"
+#include "util/number.hpp"
 
 namespace ftbesst::verify {
 
@@ -21,6 +22,52 @@ constexpr const char* kWorkKernel = "work";
 
 std::string checkpoint_kernel_name(ft::Level level) {
   return "ckpt_l" + std::to_string(static_cast<int>(level));
+}
+
+/// Every field of the scenario text format, in its fixed key order; `s` is
+/// a Scenario or a const Scenario, and `f(key, field)` sees each field.
+template <typename S, typename F>
+void for_each_field(S& s, F&& f) {
+  f("seed", s.seed);
+  f("trials", s.trials);
+  f("monte_carlo", s.monte_carlo);
+  f("noise_sigma", s.noise_sigma);
+  f("horizon_multiplier", s.horizon_multiplier);
+  f("async_stage_fraction", s.async_stage_fraction);
+  f("leaves", s.leaves);
+  f("nodes_per_leaf", s.nodes_per_leaf);
+  f("spines", s.spines);
+  f("ranks_per_node", s.ranks_per_node);
+  f("comm.sw_latency", s.comm.sw_latency);
+  f("comm.injection_latency", s.comm.injection_latency);
+  f("comm.bandwidth", s.comm.bandwidth);
+  f("comm.congestion_gamma", s.comm.congestion_gamma);
+  f("fti.group_size", s.fti.group_size);
+  f("fti.node_size", s.fti.node_size);
+  f("fti.l2_partners", s.fti.l2_partners);
+  f("storage.local_write_bw", s.storage.local_write_bw);
+  f("storage.local_latency", s.storage.local_latency);
+  f("storage.nic_bw", s.storage.nic_bw);
+  f("storage.nic_latency", s.storage.nic_latency);
+  f("storage.rs_encode_rate", s.storage.rs_encode_rate);
+  f("storage.pfs_bw", s.storage.pfs_bw);
+  f("storage.pfs_latency", s.storage.pfs_latency);
+  f("storage.sync_latency", s.storage.sync_latency);
+  f("storage.congestion_per_node", s.storage.congestion_per_node);
+  f("ranks", s.ranks);
+  f("timesteps", s.timesteps);
+  f("kernel_cost", s.kernel_cost);
+  f("exchange_degree", s.exchange_degree);
+  f("exchange_bytes", s.exchange_bytes);
+  f("allreduce_bytes", s.allreduce_bytes);
+  f("barrier", s.barrier);
+  f("ckpt_bytes_per_rank", s.ckpt_bytes_per_rank);
+  f("plan", s.plan);
+  f("inject_faults", s.inject_faults);
+  f("node_mtbf_seconds", s.node_mtbf_seconds);
+  f("loss_fraction", s.loss_fraction);
+  f("weibull_shape", s.weibull_shape);
+  f("downtime_seconds", s.downtime_seconds);
 }
 
 }  // namespace
@@ -46,61 +93,20 @@ std::string plan_to_string(const std::vector<ft::PlanEntry>& plan) {
 std::string Scenario::to_text() const {
   std::string out(kMagic);
   out += '\n';
-  auto put = [&out](const char* key, const std::string& value) {
+  for_each_field(*this, [&out](const char* key, const auto& field) {
+    using T = std::decay_t<decltype(field)>;
     out += key;
     out += ' ';
-    out += value;
+    if constexpr (std::is_same_v<T, double>)
+      util::append_double(out, field);
+    else if constexpr (std::is_same_v<T, bool>)
+      out += field ? '1' : '0';
+    else if constexpr (std::is_integral_v<T>)
+      out += std::to_string(field);
+    else
+      out += field.empty() ? "-" : plan_to_string(field);
     out += '\n';
-  };
-  auto put_d = [&put](const char* key, double v) { put(key, format_double(v)); };
-  auto put_i = [&put](const char* key, std::int64_t v) {
-    put(key, std::to_string(v));
-  };
-  auto put_u = [&put](const char* key, std::uint64_t v) {
-    put(key, std::to_string(v));
-  };
-  auto put_b = [&put](const char* key, bool v) { put(key, v ? "1" : "0"); };
-
-  put_u("seed", seed);
-  put_i("trials", trials);
-  put_b("monte_carlo", monte_carlo);
-  put_d("noise_sigma", noise_sigma);
-  put_d("horizon_multiplier", horizon_multiplier);
-  put_d("async_stage_fraction", async_stage_fraction);
-  put_i("leaves", leaves);
-  put_i("nodes_per_leaf", nodes_per_leaf);
-  put_i("spines", spines);
-  put_i("ranks_per_node", ranks_per_node);
-  put_d("comm.sw_latency", comm.sw_latency);
-  put_d("comm.injection_latency", comm.injection_latency);
-  put_d("comm.bandwidth", comm.bandwidth);
-  put_d("comm.congestion_gamma", comm.congestion_gamma);
-  put_i("fti.group_size", fti.group_size);
-  put_i("fti.node_size", fti.node_size);
-  put_i("fti.l2_partners", fti.l2_partners);
-  put_d("storage.local_write_bw", storage.local_write_bw);
-  put_d("storage.local_latency", storage.local_latency);
-  put_d("storage.nic_bw", storage.nic_bw);
-  put_d("storage.nic_latency", storage.nic_latency);
-  put_d("storage.rs_encode_rate", storage.rs_encode_rate);
-  put_d("storage.pfs_bw", storage.pfs_bw);
-  put_d("storage.pfs_latency", storage.pfs_latency);
-  put_d("storage.sync_latency", storage.sync_latency);
-  put_d("storage.congestion_per_node", storage.congestion_per_node);
-  put_i("ranks", ranks);
-  put_i("timesteps", timesteps);
-  put_d("kernel_cost", kernel_cost);
-  put_i("exchange_degree", exchange_degree);
-  put_u("exchange_bytes", exchange_bytes);
-  put_u("allreduce_bytes", allreduce_bytes);
-  put_b("barrier", barrier);
-  put_u("ckpt_bytes_per_rank", ckpt_bytes_per_rank);
-  put("plan", plan.empty() ? "-" : plan_to_string(plan));
-  put_b("inject_faults", inject_faults);
-  put_d("node_mtbf_seconds", node_mtbf_seconds);
-  put_d("loss_fraction", loss_fraction);
-  put_d("weibull_shape", weibull_shape);
-  put_d("downtime_seconds", downtime_seconds);
+  });
   return out;
 }
 
@@ -122,88 +128,19 @@ Scenario Scenario::from_text(const std::string& text) {
     const std::string key = line.substr(0, space);
     const std::string value = line.substr(space + 1);
     try {
-      if (key == "seed")
-        s.seed = parse_u64(value);
-      else if (key == "trials")
-        s.trials = static_cast<int>(parse_int(value));
-      else if (key == "monte_carlo")
-        s.monte_carlo = parse_int(value) != 0;
-      else if (key == "noise_sigma")
-        s.noise_sigma = parse_double(value);
-      else if (key == "horizon_multiplier")
-        s.horizon_multiplier = parse_double(value);
-      else if (key == "async_stage_fraction")
-        s.async_stage_fraction = parse_double(value);
-      else if (key == "leaves")
-        s.leaves = static_cast<int>(parse_int(value));
-      else if (key == "nodes_per_leaf")
-        s.nodes_per_leaf = static_cast<int>(parse_int(value));
-      else if (key == "spines")
-        s.spines = static_cast<int>(parse_int(value));
-      else if (key == "ranks_per_node")
-        s.ranks_per_node = static_cast<int>(parse_int(value));
-      else if (key == "comm.sw_latency")
-        s.comm.sw_latency = parse_double(value);
-      else if (key == "comm.injection_latency")
-        s.comm.injection_latency = parse_double(value);
-      else if (key == "comm.bandwidth")
-        s.comm.bandwidth = parse_double(value);
-      else if (key == "comm.congestion_gamma")
-        s.comm.congestion_gamma = parse_double(value);
-      else if (key == "fti.group_size")
-        s.fti.group_size = static_cast<int>(parse_int(value));
-      else if (key == "fti.node_size")
-        s.fti.node_size = static_cast<int>(parse_int(value));
-      else if (key == "fti.l2_partners")
-        s.fti.l2_partners = static_cast<int>(parse_int(value));
-      else if (key == "storage.local_write_bw")
-        s.storage.local_write_bw = parse_double(value);
-      else if (key == "storage.local_latency")
-        s.storage.local_latency = parse_double(value);
-      else if (key == "storage.nic_bw")
-        s.storage.nic_bw = parse_double(value);
-      else if (key == "storage.nic_latency")
-        s.storage.nic_latency = parse_double(value);
-      else if (key == "storage.rs_encode_rate")
-        s.storage.rs_encode_rate = parse_double(value);
-      else if (key == "storage.pfs_bw")
-        s.storage.pfs_bw = parse_double(value);
-      else if (key == "storage.pfs_latency")
-        s.storage.pfs_latency = parse_double(value);
-      else if (key == "storage.sync_latency")
-        s.storage.sync_latency = parse_double(value);
-      else if (key == "storage.congestion_per_node")
-        s.storage.congestion_per_node = parse_double(value);
-      else if (key == "ranks")
-        s.ranks = parse_int(value);
-      else if (key == "timesteps")
-        s.timesteps = static_cast<int>(parse_int(value));
-      else if (key == "kernel_cost")
-        s.kernel_cost = parse_double(value);
-      else if (key == "exchange_degree")
-        s.exchange_degree = static_cast<int>(parse_int(value));
-      else if (key == "exchange_bytes")
-        s.exchange_bytes = parse_u64(value);
-      else if (key == "allreduce_bytes")
-        s.allreduce_bytes = parse_u64(value);
-      else if (key == "barrier")
-        s.barrier = parse_int(value) != 0;
-      else if (key == "ckpt_bytes_per_rank")
-        s.ckpt_bytes_per_rank = parse_u64(value);
-      else if (key == "plan")
-        s.plan = value == "-" ? std::vector<ft::PlanEntry>{}
-                              : core::parse_plan(value);
-      else if (key == "inject_faults")
-        s.inject_faults = parse_int(value) != 0;
-      else if (key == "node_mtbf_seconds")
-        s.node_mtbf_seconds = parse_double(value);
-      else if (key == "loss_fraction")
-        s.loss_fraction = parse_double(value);
-      else if (key == "weibull_shape")
-        s.weibull_shape = parse_double(value);
-      else if (key == "downtime_seconds")
-        s.downtime_seconds = parse_double(value);
-      else
+      bool known = false;
+      for_each_field(s, [&](const char* name, auto& field) {
+        using T = std::decay_t<decltype(field)>;
+        if (key != name) return;
+        known = true;
+        if constexpr (std::is_same_v<T, bool>)
+          field = util::parse_number<std::int64_t>(value, key) != 0;
+        else if constexpr (std::is_arithmetic_v<T>)
+          field = util::parse_number<T>(value, key);
+        else
+          field = value == "-" ? T{} : core::parse_plan(value);
+      });
+      if (!known)
         throw std::invalid_argument("unknown scenario key '" + key + "'");
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("scenario line '" + line +

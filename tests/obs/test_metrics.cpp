@@ -9,11 +9,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "json_check.hpp"
+#include "obs/obs.hpp"
 #include "util/task_pool.hpp"
 
 namespace ftbesst::obs {
@@ -188,6 +191,28 @@ TEST_F(MetricsTest, JsonExportIsWellFormed) {
   EXPECT_NE(text.find("\"gauges\""), std::string::npos);
   EXPECT_NE(text.find("\"histograms\""), std::string::npos);
   EXPECT_NE(text.find("\"le\": null"), std::string::npos);  // overflow bucket
+}
+
+TEST_F(MetricsTest, MetricsJsonKeepsEveryDigit) {
+  // Gauges, histogram sums and bounds print in their shortest round-trip
+  // form, not at the stream's default 6 significant digits.
+  gauge("test.big_gauge").set(1234567.25);
+  histogram("test.ns_hist", {2.5e9 + 0.5}).observe(1234567891.0);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "metrics_digits";
+  ASSERT_TRUE(write_output_dir(dir.string()));
+  std::ifstream is(dir / "metrics.json");
+  std::stringstream text;
+  text << is.rdbuf();
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(testobs::json_valid(text.str())) << text.str();
+  EXPECT_NE(text.str().find("\"test.big_gauge\": 1234567.25"),
+            std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find("\"sum\": 1234567891,"), std::string::npos)
+      << text.str();
+  EXPECT_NE(text.str().find("\"le\": 2500000000.5,"), std::string::npos)
+      << text.str();
 }
 
 TEST_F(MetricsTest, CompiledFlagMatchesBuild) {

@@ -179,5 +179,31 @@ TEST(Search, RejectsUnusableConfigurations) {
                std::invalid_argument);
 }
 
+TEST(Search, UnaffordableBudgetStatesWhatOneCellNeeds) {
+  // Six cells at the default 10% fraction and 2 trials: 0.1 * 6 * 2 units
+  // (1.2000000000000002 in binary64), less than the 2 one cell costs.
+  SearchSpace space;
+  space.scenarios = {{"x", {{ft::Level::kL1, 40}}}};
+  for (double epr : {8.0, 12.0, 16.0})
+    for (double ranks : {8.0, 64.0}) space.points.push_back({epr, ranks});
+  SearchOptions opt;
+  opt.trials = 2;
+  try {
+    (void)run_search(space, opt, make_evaluator(space));
+    FAIL() << "a 1.2-unit budget priced a 2-unit cell";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "search budget cannot afford a single evaluation: one cell "
+                 "costs 2 units at 2 trials, the budget has "
+                 "1.2000000000000002 units; the "
+                 "smallest --budget-frac (budget_fraction) that affords one "
+                 "cell of this 6-cell space is 0.16666666666666666");
+  }
+  // The fraction the message names is enough.
+  opt.budget_fraction = 0.16666666666666666;
+  const SearchResult r = run_search(space, opt, make_evaluator(space));
+  EXPECT_EQ(r.evaluations, 1u);
+}
+
 }  // namespace
 }  // namespace ftbesst::search

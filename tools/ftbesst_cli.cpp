@@ -21,7 +21,7 @@
 //   ftbesst faultlog --log FILE.csv --nodes N
 //       Estimate a fault model (MTBF, Weibull shape, node-loss fraction)
 //       from an observed failure log (CSV: time_seconds,node,kind with
-//       kind in {loss,crash}) and recommend a plan at that rate.
+//       kind in {crash,loss,sdc}) and recommend a plan at that rate.
 //
 //   ftbesst inject --scenario FILE.scenario [--trials N] [--threads T]
 //       [--engine des|bsp] [--seed S] [--faultlog FILE] [--faultlog-csv F]
@@ -145,6 +145,7 @@
 #include "svc/wire.hpp"
 #include "util/args.hpp"
 #include "util/config.hpp"
+#include "util/number.hpp"
 #include "verify/corpus.hpp"
 #include "verify/differential.hpp"
 #include "verify/fuzz.hpp"
@@ -331,18 +332,23 @@ int cmd_faultlog(const util::ArgParser& args) {
   }
   std::vector<ft::FaultEvent> events;
   std::string line;
-  while (std::getline(is, line)) {
+  for (int line_no = 1; std::getline(is, line); ++line_no) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
     std::string time_s, node_s, kind_s;
-    if (!std::getline(ls, time_s, ',') || !std::getline(ls, node_s, ',') ||
-        !std::getline(ls, kind_s))
-      throw std::invalid_argument("bad fault-log line: " + line);
     ft::FaultEvent ev;
-    ev.time = std::stod(time_s);
-    ev.node = std::stoll(node_s);
-    ev.kind = kind_s == "crash" ? ft::FailureKind::kProcessCrash
-                                : ft::FailureKind::kNodeLoss;
+    try {
+      if (!std::getline(ls, time_s, ',') || !std::getline(ls, node_s, ',') ||
+          !std::getline(ls, kind_s))
+        throw std::invalid_argument("expected time,node,kind, got '" + line +
+                                    "'");
+      ev.time = util::parse_number<double>(time_s, "time");
+      ev.node = util::parse_number<std::int64_t>(node_s, "node");
+      ev.kind = ft::parse_failure_kind(kind_s);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(*log_path + " line " +
+                                  std::to_string(line_no) + ": " + e.what());
+    }
     events.push_back(ev);
   }
   const auto nodes = args.get_int("nodes", 1);
