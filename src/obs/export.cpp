@@ -20,12 +20,13 @@ bool write_output_dir(const std::string& dir) {
   {
     std::ofstream os(fs::path(dir) / "metrics.json");
     if (!os) return false;
-    scrape().write_json(os);
+    os << scrape().to_json().dump() << '\n';
   }
   {
     std::ofstream os(fs::path(dir) / "trace.json");
     if (!os) return false;
     write_chrome_trace(os);
+    os << '\n';
   }
   {
     std::ofstream os(fs::path(dir) / "summary.txt");

@@ -6,9 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
-#include <ostream>
-
-#include "util/number.hpp"
 
 namespace ftbesst::obs {
 
@@ -246,18 +243,9 @@ const bool g_env_init = [] {
   return true;
 }();
 
-void json_escape(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
+// JSON numbers are finite: a gauge, sum or bound that is not reads as null.
+util::Json finite_or_null(double v) {
+  return std::isfinite(v) ? util::Json(v) : util::Json();
 }
 
 }  // namespace
@@ -363,42 +351,28 @@ const HistogramSnapshot* MetricsSnapshot::histogram(
   return nullptr;
 }
 
-void MetricsSnapshot::write_json(std::ostream& os) const {
-  os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ");
-    json_escape(os, counters[i].first);
-    os << ": " << counters[i].second;
+util::Json MetricsSnapshot::to_json() const {
+  util::JsonObject counters_json;
+  for (const auto& [name, value] : counters) counters_json[name] = value;
+  util::JsonObject gauges_json;
+  for (const auto& [name, value] : gauges)
+    gauges_json[name] = finite_or_null(value);
+  util::JsonObject histograms_json;
+  for (const HistogramSnapshot& hs : histograms) {
+    util::JsonArray buckets;
+    for (std::size_t b = 0; b < hs.buckets.size(); ++b)
+      buckets.emplace_back(util::JsonObject{
+          {"le", b < hs.bounds.size() ? finite_or_null(hs.bounds[b])
+                                      : util::Json()},
+          {"n", hs.buckets[b]}});
+    histograms_json[hs.name] = util::JsonObject{
+        {"buckets", std::move(buckets)},
+        {"count", hs.count},
+        {"sum", finite_or_null(hs.sum)}};
   }
-  os << (counters.empty() ? "},\n" : "\n  },\n");
-  os << "  \"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    os << (i ? ",\n    " : "\n    ");
-    json_escape(os, gauges[i].first);
-    os << ": " << util::format_double(gauges[i].second);
-  }
-  os << (gauges.empty() ? "},\n" : "\n  },\n");
-  os << "  \"histograms\": {";
-  for (std::size_t h = 0; h < histograms.size(); ++h) {
-    const HistogramSnapshot& hs = histograms[h];
-    os << (h ? ",\n    " : "\n    ");
-    json_escape(os, hs.name);
-    os << ": {\"count\": " << hs.count
-       << ", \"sum\": " << util::format_double(hs.sum)
-       << ", \"buckets\": [";
-    for (std::size_t b = 0; b < hs.buckets.size(); ++b) {
-      if (b) os << ", ";
-      os << "{\"le\": ";
-      if (b < hs.bounds.size())
-        os << util::format_double(hs.bounds[b]);
-      else
-        os << "null";
-      os << ", \"n\": " << hs.buckets[b] << '}';
-    }
-    os << "]}";
-  }
-  os << (histograms.empty() ? "}\n" : "\n  }\n");
-  os << "}\n";
+  return util::JsonObject{{"counters", std::move(counters_json)},
+                          {"gauges", std::move(gauges_json)},
+                          {"histograms", std::move(histograms_json)}};
 }
 
 MetricsSnapshot scrape() { return registry().scrape(); }

@@ -26,11 +26,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/json.hpp"
 
 #ifndef FTBESST_OBS
 #define FTBESST_OBS 1
@@ -146,9 +147,10 @@ struct MetricsSnapshot {
   double gauge(std::string_view name) const;           // 0 when absent
   const HistogramSnapshot* histogram(std::string_view name) const;
 
-  // {"counters":{...},"gauges":{...},"histograms":{...}} — overflow bucket
-  // is emitted with "le": null.
-  void write_json(std::ostream& os) const;
+  // {"counters":{...},"gauges":{...},"histograms":{name:{"buckets":
+  // [{"le","n"}...],"count","sum"}}}. The overflow bucket has "le": null,
+  // and so does any gauge, sum or bound that is not finite.
+  util::Json to_json() const;
 };
 
 // Sum all shards (live + retired) under the registry lock.

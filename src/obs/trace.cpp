@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/clock.hpp"
+#include "util/json.hpp"
 
 namespace ftbesst::obs {
 
@@ -139,43 +140,31 @@ TraceSnapshot collect_spans() { return trace_registry().collect(); }
 
 void trace_reset() { trace_registry().reset(); }
 
-namespace {
-
-// Span names are string literals chosen by instrumentation, but the export
-// must stay valid JSON no matter what a caller picks.
-void write_escaped(std::ostream& os, const char* s) {
-  for (; *s; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      os << '\\' << *s;
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << *s;
-    }
-  }
-}
-
-}  // namespace
-
 void write_chrome_trace(std::ostream& os) {
   const TraceSnapshot snap = collect_spans();
-  os << "{\"traceEvents\": [";
-  bool first = true;
+  // The envelope's two keys in sorted order, so the whole text is canonical
+  // JSON: Json::parse(text).dump() == text.
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  // One event value at a time, so export never holds every span as a JSON
+  // object at once.
+  std::string event;
+  const char* sep = "";
   for (const SpanRecord& r : snap.spans) {
     if (!r.name) continue;
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "  {\"name\": \"";
-    write_escaped(os, r.name);
-    os << "\", \"cat\": \"ftbesst\", \"ph\": \"X\", \"ts\": "
-       << static_cast<double>(r.start_ns) / 1000.0
-       << ", \"dur\": " << static_cast<double>(r.dur_ns) / 1000.0
-       << ", \"pid\": 1, \"tid\": " << r.tid << "}";
+    event = sep;
+    sep = ",";
+    util::Json(util::JsonObject{
+                   {"cat", "ftbesst"},
+                   {"dur", static_cast<double>(r.dur_ns) / 1000.0},
+                   {"name", r.name},
+                   {"ph", "X"},
+                   {"pid", 1},
+                   {"tid", std::uint64_t{r.tid}},
+                   {"ts", static_cast<double>(r.start_ns) / 1000.0}})
+        .dump_to(event);
+    os << event;
   }
-  os << (first ? "]" : "\n]") << ", \"displayTimeUnit\": \"ms\"}\n";
+  os << "]}";
 }
 
 void write_flame_summary(std::ostream& os) {

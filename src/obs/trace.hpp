@@ -65,7 +65,9 @@ struct TraceSnapshot {
 
 TraceSnapshot collect_spans();
 
-// {"traceEvents":[...],"displayTimeUnit":"ms"} with ts/dur in microseconds.
+// {"displayTimeUnit":"ms","traceEvents":[...]} as canonical JSON (sorted
+// keys, no whitespace, no trailing newline), ts/dur in microseconds with
+// every digit of start_ns/1000 and dur_ns/1000.
 void write_chrome_trace(std::ostream& os);
 
 // Plain-text aggregate by span name, indented by minimum observed depth.

@@ -1,4 +1,4 @@
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 #include <cmath>
 #include <cstdio>
@@ -7,7 +7,7 @@
 
 #include "util/number.hpp"
 
-namespace ftbesst::svc {
+namespace ftbesst::util {
 
 namespace {
 
@@ -43,7 +43,7 @@ void append_escaped(std::string& out, const std::string& s) {
 void append_number(std::string& out, double d) {
   if (!std::isfinite(d))
     throw std::invalid_argument("json: cannot serialize non-finite number");
-  util::append_double(out, d);
+  append_double(out, d);
 }
 
 class Parser {
@@ -226,7 +226,7 @@ class Parser {
         break;
     }
     const std::optional<double> out =
-        util::try_parse_number<double>(text_.substr(start, pos_ - start));
+        try_parse_number<double>(text_.substr(start, pos_ - start));
     if (!out) {
       pos_ = start;
       fail("bad number");
@@ -374,4 +374,4 @@ bool Json::bool_or(std::string_view key, bool fallback) const {
   return v->as_bool();
 }
 
-}  // namespace ftbesst::svc
+}  // namespace ftbesst::util

@@ -13,8 +13,8 @@
 // throws std::invalid_argument("<what> expects an integer|a number, got
 // '<text>'"), so every malformed input names its field and its text.
 //
-// Header-only: ftbesst_obs sits below ftbesst_util in the link order and
-// writes with it too.
+// Header-only: ftbesst_json sits below ftbesst_obs and ftbesst_util in the
+// link order and reads and writes with it too.
 
 #include <charconv>
 #include <cmath>

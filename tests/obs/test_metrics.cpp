@@ -1,7 +1,7 @@
 // Metrics registry contract: thread-local sharded counters/histograms sum
 // to exact totals across a hammering TaskPool workload, handles are
 // idempotent per name, the disabled path records nothing, and the JSON
-// export is well-formed.
+// export parses strictly with every key path and value in place.
 
 #include "obs/metrics.hpp"
 
@@ -11,12 +11,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "json_check.hpp"
 #include "obs/obs.hpp"
+#include "util/json.hpp"
 #include "util/task_pool.hpp"
 
 namespace ftbesst::obs {
@@ -179,18 +180,44 @@ TEST_F(MetricsTest, ResetZeroesValuesButKeepsNames) {
   EXPECT_EQ(scrape().counter("test.reset"), 1u);
 }
 
+// metrics.json as write_output_dir leaves it, parsed by the strict parser.
+util::Json written_metrics_json(const std::string& subdir) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / subdir;
+  EXPECT_TRUE(write_output_dir(dir.string()));
+  std::ifstream is(dir / "metrics.json");
+  std::stringstream text;
+  text << is.rdbuf();
+  std::filesystem::remove_all(dir);
+  return util::Json::parse(text.str());
+}
+
 TEST_F(MetricsTest, JsonExportIsWellFormed) {
   counter("test.json \"quoted\\name\"").add(2);
   gauge("test.json_gauge").set(1.25);
   histogram("test.json_hist", {1.0, 2.0}).observe(1.5);
-  std::ostringstream os;
-  scrape().write_json(os);
-  const std::string text = os.str();
-  EXPECT_TRUE(testobs::json_valid(text)) << text;
-  EXPECT_NE(text.find("\"counters\""), std::string::npos);
-  EXPECT_NE(text.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(text.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(text.find("\"le\": null"), std::string::npos);  // overflow bucket
+  const util::Json doc = util::Json::parse(scrape().to_json().dump());
+  const util::JsonObject& top = doc.as_object();
+  EXPECT_EQ(top.size(), 3u);
+  EXPECT_EQ(top.at("counters")
+                .as_object()
+                .at("test.json \"quoted\\name\"")
+                .as_number(),
+            2.0);
+  EXPECT_EQ(top.at("gauges").as_object().at("test.json_gauge").as_number(),
+            1.25);
+  const util::JsonObject& hist =
+      top.at("histograms").as_object().at("test.json_hist").as_object();
+  EXPECT_EQ(hist.at("count").as_number(), 1.0);
+  EXPECT_EQ(hist.at("sum").as_number(), 1.5);
+  const util::JsonArray& buckets = hist.at("buckets").as_array();
+  ASSERT_EQ(buckets.size(), 3u);
+  EXPECT_EQ(buckets[0].as_object().at("le").as_number(), 1.0);
+  EXPECT_EQ(buckets[0].as_object().at("n").as_number(), 0.0);
+  EXPECT_EQ(buckets[1].as_object().at("le").as_number(), 2.0);
+  EXPECT_EQ(buckets[1].as_object().at("n").as_number(), 1.0);
+  EXPECT_TRUE(buckets[2].as_object().at("le").is_null());  // overflow
+  EXPECT_EQ(buckets[2].as_object().at("n").as_number(), 0.0);
 }
 
 TEST_F(MetricsTest, MetricsJsonKeepsEveryDigit) {
@@ -198,21 +225,34 @@ TEST_F(MetricsTest, MetricsJsonKeepsEveryDigit) {
   // form, not at the stream's default 6 significant digits.
   gauge("test.big_gauge").set(1234567.25);
   histogram("test.ns_hist", {2.5e9 + 0.5}).observe(1234567891.0);
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "metrics_digits";
-  ASSERT_TRUE(write_output_dir(dir.string()));
-  std::ifstream is(dir / "metrics.json");
-  std::stringstream text;
-  text << is.rdbuf();
-  std::filesystem::remove_all(dir);
-  EXPECT_TRUE(testobs::json_valid(text.str())) << text.str();
-  EXPECT_NE(text.str().find("\"test.big_gauge\": 1234567.25"),
-            std::string::npos)
-      << text.str();
-  EXPECT_NE(text.str().find("\"sum\": 1234567891,"), std::string::npos)
-      << text.str();
-  EXPECT_NE(text.str().find("\"le\": 2500000000.5,"), std::string::npos)
-      << text.str();
+  const util::JsonObject doc =
+      written_metrics_json("metrics_digits").as_object();
+  EXPECT_EQ(doc.at("gauges").as_object().at("test.big_gauge").as_number(),
+            1234567.25);
+  const util::JsonObject& hist =
+      doc.at("histograms").as_object().at("test.ns_hist").as_object();
+  EXPECT_EQ(hist.at("sum").as_number(), 1234567891.0);
+  EXPECT_EQ(hist.at("buckets").as_array()[0].as_object().at("le").as_number(),
+            2.5e9 + 0.5);
+}
+
+TEST_F(MetricsTest, MetricsJsonSurvivesHostileNamesAndValues) {
+  // A control byte in a name must be escaped, and JSON has no infinity: the
+  // file must still parse, keep the name exactly and write null for values
+  // it cannot represent.
+  const std::string name = "test.ctl\r\x01";
+  counter(name).add(3);
+  gauge("test.inf_gauge").set(std::numeric_limits<double>::infinity());
+  histogram("test.inf_hist", {1.0}).observe(
+      std::numeric_limits<double>::infinity());
+  const util::JsonObject doc =
+      written_metrics_json("metrics_hostile").as_object();
+  EXPECT_EQ(doc.at("counters").as_object().at(name).as_number(), 3.0);
+  EXPECT_TRUE(doc.at("gauges").as_object().at("test.inf_gauge").is_null());
+  const util::JsonObject& hist =
+      doc.at("histograms").as_object().at("test.inf_hist").as_object();
+  EXPECT_TRUE(hist.at("sum").is_null());
+  EXPECT_EQ(hist.at("count").as_number(), 1.0);
 }
 
 TEST_F(MetricsTest, CompiledFlagMatchesBuild) {

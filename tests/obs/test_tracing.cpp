@@ -1,20 +1,23 @@
 // Span tracing contract: RAII spans land in per-thread rings with correct
 // nesting depth, worker spans survive thread exit, bounded rings account
-// for their drops, and both export formats are well-formed.
+// for their drops, and both export formats are well-formed (the Chrome
+// trace is canonical JSON that keeps every timestamp digit).
 
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "json_check.hpp"
+#include "obs/clock.hpp"
 #include "obs/obs.hpp"
+#include "util/json.hpp"
 
 namespace ftbesst::obs {
 namespace {
@@ -127,12 +130,50 @@ TEST_F(TracingTest, ChromeTraceExportIsWellFormedJson) {
   }
   std::ostringstream os;
   write_chrome_trace(os);
+  const util::JsonObject doc = util::Json::parse(os.str()).as_object();
+  EXPECT_EQ(doc.size(), 2u);
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
+  std::multiset<std::string> names;
+  for (const util::Json& event : doc.at("traceEvents").as_array()) {
+    const util::JsonObject& ev = event.as_object();
+    EXPECT_EQ(ev.size(), 7u);
+    EXPECT_EQ(ev.at("cat").as_string(), "ftbesst");
+    EXPECT_EQ(ev.at("ph").as_string(), "X");
+    EXPECT_EQ(ev.at("pid").as_number(), 1.0);
+    EXPECT_GE(ev.at("tid").as_number(), 0.0);
+    EXPECT_GE(ev.at("dur").as_number(), 0.0);
+    EXPECT_GE(ev.at("ts").as_number(), 0.0);
+    names.insert(ev.at("name").as_string());
+  }
+  EXPECT_EQ(names, (std::multiset<std::string>{"test.chrome \"escaped\"",
+                                               "test.chrome_inner"}));
+}
+
+TEST_F(TracingTest, ChromeTraceKeepsEveryTimestampDigit) {
+  // 100 ms after the process epoch a start time has nine digits of ns, so
+  // six significant digits of microseconds would already round it.
+  while (now_ns() < 100'000'000)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    FTBESST_OBS_SPAN("test.late");
+  }
+  const TraceSnapshot snap = collect_spans();
+  std::ostringstream os;
+  write_chrome_trace(os);
   const std::string text = os.str();
-  EXPECT_TRUE(testobs::json_valid(text)) << text;
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(text.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-  EXPECT_NE(text.find("test.chrome_inner"), std::string::npos);
+  const util::Json doc = util::Json::parse(text);
+  EXPECT_EQ(doc.dump(), text);  // the whole export is canonical JSON
+  const util::JsonArray& events = doc.as_object().at("traceEvents").as_array();
+  ASSERT_EQ(events.size(), snap.spans.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const util::JsonObject& ev = events[i].as_object();
+    const SpanRecord& rec = snap.spans[i];
+    EXPECT_EQ(ev.at("name").as_string(), rec.name);
+    EXPECT_EQ(ev.at("ts").as_number(),
+              static_cast<double>(rec.start_ns) / 1000.0);
+    EXPECT_EQ(ev.at("dur").as_number(),
+              static_cast<double>(rec.dur_ns) / 1000.0);
+  }
 }
 
 TEST_F(TracingTest, FlameSummaryAggregatesByName) {

@@ -127,7 +127,15 @@ TEST(Search, AutoPrefersGpOnSmallSpacesAndBanditOnHuge) {
   SearchSpace huge;
   huge.scenarios = {{"only", {}}};
   for (double v = 0.0; v < 3000.0; v += 1.0) huge.points.push_back({v});
-  EXPECT_EQ(run_search(huge, opt, make_evaluator(huge)).method_used,
+  // Its points have one coordinate, so its evaluator reads only p[0].
+  const Evaluator one_coordinate =
+      [&huge](const std::vector<core::DseCell>& cells) {
+        std::vector<double> out;
+        for (const core::DseCell& c : cells)
+          out.push_back(std::abs(huge.points[huge.point_of(c.flat)][0] - 3.0));
+        return out;
+      };
+  EXPECT_EQ(run_search(huge, opt, one_coordinate).method_used,
             Method::kBandit);
 }
 

@@ -33,7 +33,7 @@ file(READ ${WORK_DIR}/obs/trace.json trace_json)
 if(NOT trace_json MATCHES "\"traceEvents\"")
   message(FATAL_ERROR "obs/trace.json is not a Chrome trace: ${trace_json}")
 endif()
-if(NOT trace_json MATCHES "\"ph\": \"X\"")
+if(NOT trace_json MATCHES "\"ph\":\"X\"")
   message(FATAL_ERROR "obs/trace.json contains no complete events")
 endif()
 file(READ ${WORK_DIR}/obs/metrics.json metrics_json)
