@@ -2,13 +2,12 @@
 // problem use?" — with and without fault tolerance, against the Amdahl
 // baseline. Fixed 384^3 Stencil3D problem; more ranks buy compute but pay
 // surface communication and (with C/R under faults) more fault exposure.
-// This is the concrete-model version of the related-work speedup laws
-// (bench_ext_analytic): same question, machine-calibrated answer.
+// This is the concrete-model version of the related-work speedup laws:
+// same question, machine-calibrated answer.
 
 #include <iostream>
 #include <memory>
 
-#include "analytic/speedup.hpp"
 #include "apps/kernels.hpp"
 #include "apps/stencil3d.hpp"
 #include "core/arch.hpp"

@@ -11,7 +11,6 @@
 #include "apps/lulesh.hpp"
 #include "apps/testbed.hpp"
 #include "core/arch.hpp"
-#include "core/pruning.hpp"
 #include "core/workflow.hpp"
 #include "net/topology.hpp"
 #include "util/table.hpp"
@@ -96,24 +95,5 @@ int main() {
   }
   std::cout << "=> 'L1 & L2' is the cheapest compliant plan; its predicted "
                "cost premium over L1 alone is the table's last column.\n";
-
-  // Design-space reduction: keep the cheapest compliant quarter, flag the
-  // untrustworthy predictions for fine-grained study, prune the rest —
-  // the paper's "exploration & reduction" step made explicit.
-  std::vector<core::DsePoint> compliant(dse.begin() + 2 * n, dse.end());
-  core::PruneOptions prune;
-  prune.keep_fraction = 0.25;
-  prune.uncertainty_threshold = 0.10;
-  const auto decisions = core::prune_design_space(compliant, prune);
-  int kept = 0, detail = 0, pruned = 0;
-  for (const auto& d : decisions) {
-    kept += d.verdict == core::Verdict::kKeep;
-    detail += d.verdict == core::Verdict::kDetailStudy;
-    pruned += d.verdict == core::Verdict::kPrune;
-  }
-  std::cout << "\nDesign-space reduction over the compliant (L1 & L2) "
-               "configurations: " << kept << " kept, " << detail
-            << " flagged for fine-grained study, " << pruned
-            << " pruned of " << decisions.size() << ".\n";
   return 0;
 }

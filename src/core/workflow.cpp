@@ -1,6 +1,5 @@
 #include "core/workflow.hpp"
 
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <vector>
@@ -225,39 +224,6 @@ std::string format_plan(const std::vector<ft::PlanEntry>& plan) {
     if (e.async) out += 'a';
   }
   return out;
-}
-
-std::vector<double> quantize_params(const std::vector<double>& params) {
-  std::vector<double> out(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", params[i]);
-    out[i] = util::parse_number<double>(buf, "quantized parameter");
-  }
-  return out;
-}
-
-std::map<std::string, std::map<std::vector<double>, double>> overhead_grid(
-    const std::vector<DsePoint>& points, const std::string& baseline_scenario,
-    const std::vector<double>& baseline_params) {
-  // Keys are quantized so that coordinates recomputed elsewhere (parsed
-  // back from a report, say) still find their cell: exact-double keys made
-  // lookups fail on any value that did not round-trip bit-for-bit.
-  const std::vector<double> base_key = quantize_params(baseline_params);
-  const DsePoint* baseline = nullptr;
-  for (const DsePoint& p : points)
-    if (p.scenario == baseline_scenario && quantize_params(p.params) == base_key)
-      baseline = &p;
-  if (!baseline)
-    throw std::invalid_argument("baseline point not found in DSE results");
-  const double base = baseline->ensemble.total.mean;
-  if (base <= 0.0) throw std::logic_error("baseline runtime is zero");
-
-  std::map<std::string, std::map<std::vector<double>, double>> grid;
-  for (const DsePoint& p : points)
-    grid[p.scenario][quantize_params(p.params)] =
-        100.0 * p.ensemble.total.mean / base;
-  return grid;
 }
 
 }  // namespace ftbesst::core

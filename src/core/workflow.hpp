@@ -7,8 +7,8 @@
 //   bind the results into an ArchBEO.
 //
 //   Phase 2 — HW/SW Co-Design: run full-system simulations over the design
-//   space (scenarios x parameters), compare FT levels, and produce the
-//   overhead grids used for DSE (Fig. 9).
+//   space (scenarios x parameters) and compare FT levels by their overhead
+//   (Fig. 9).
 
 #include <functional>
 #include <map>
@@ -144,33 +144,11 @@ class DseBudget {
   [[nodiscard]] double remaining() const noexcept {
     return total_ > used_ ? total_ - used_ : 0.0;
   }
-  [[nodiscard]] bool can_afford(double units) const noexcept {
-    return used_ + units <= total_;
-  }
   void charge(double units) noexcept { used_ += units; }
 
  private:
   double total_ = 0.0;
   double used_ = 0.0;
 };
-
-/// Quantize sweep coordinates for use as lookup keys: each value is
-/// rounded to 12 significant decimal digits (round-tripped through %.12g).
-/// Coordinates that differ only below that precision — e.g. a value
-/// recomputed through text formatting — map to the same key, while any
-/// difference a human would write down survives.
-[[nodiscard]] std::vector<double> quantize_params(
-    const std::vector<double>& params);
-
-/// Overhead (%) of each DSE point relative to the point with scenario
-/// `baseline_scenario` and parameters `baseline_params` (Fig. 9 reports
-/// every cell as a percentage of the cheapest configuration). Keys are
-/// quantized with quantize_params, so lookups with coordinates that went
-/// through text formatting (or any computation agreeing to 12 significant
-/// digits) find their cell; query with grid[s].find(quantize_params(p)).
-[[nodiscard]] std::map<std::string, std::map<std::vector<double>, double>>
-overhead_grid(const std::vector<DsePoint>& points,
-              const std::string& baseline_scenario,
-              const std::vector<double>& baseline_params);
 
 }  // namespace ftbesst::core

@@ -86,11 +86,6 @@ struct FaultModelEstimate {
   double weibull_shape = 1.0;    ///< 1 = exponential; <1 bursty; >1 regular
   double node_loss_fraction = 1.0;
   std::size_t events = 0;
-
-  /// Construct the matching generative process.
-  [[nodiscard]] FaultProcess to_process() const {
-    return FaultProcess(node_mtbf, node_loss_fraction, weibull_shape);
-  }
 };
 
 /// Estimate the fault model from a time-ordered event log covering a

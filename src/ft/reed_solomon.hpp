@@ -20,7 +20,6 @@ class ReedSolomon {
 
   [[nodiscard]] std::size_t data_shards() const noexcept { return k_; }
   [[nodiscard]] std::size_t parity_shards() const noexcept { return m_; }
-  [[nodiscard]] std::size_t total_shards() const noexcept { return k_ + m_; }
 
   /// Compute parity shards from `data` (k shards of equal length).
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode(

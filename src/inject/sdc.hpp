@@ -35,9 +35,6 @@ class SdcProcess {
   explicit SdcProcess(double node_mtbe_seconds,
                       double mean_detect_seconds = 0.0);
 
-  [[nodiscard]] double node_mtbe() const noexcept { return mtbe_; }
-  [[nodiscard]] double mean_detect() const noexcept { return mean_detect_; }
-
   /// All corruption events on ONE node in [0, horizon_seconds), time-ordered,
   /// kind kSilentCorruption, node id 0 (the caller assigns the real id).
   /// Each event carries its drawn detect_after latency.

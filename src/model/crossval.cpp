@@ -58,23 +58,4 @@ CrossValReport cross_validate(const Dataset& data, const FitOptions& options,
   return report;
 }
 
-ModelMethod select_method_by_crossval(const Dataset& data,
-                                      const std::vector<ModelMethod>& methods,
-                                      const FitOptions& base_options,
-                                      std::size_t folds) {
-  if (methods.empty()) throw std::invalid_argument("no methods given");
-  ModelMethod best = methods.front();
-  double best_mape = std::numeric_limits<double>::infinity();
-  for (ModelMethod method : methods) {
-    FitOptions opt = base_options;
-    opt.method = method;
-    const CrossValReport report = cross_validate(data, opt, folds);
-    if (report.fold_mape.mean < best_mape) {
-      best_mape = report.fold_mape.mean;
-      best = method;
-    }
-  }
-  return best;
-}
-
 }  // namespace ftbesst::model

@@ -28,10 +28,4 @@ struct CrossValReport {
                                             const FitOptions& options,
                                             std::size_t folds = 5);
 
-/// Convenience: cross-validate several methods and return the one with the
-/// lowest mean held-out MAPE.
-[[nodiscard]] ModelMethod select_method_by_crossval(
-    const Dataset& data, const std::vector<ModelMethod>& methods,
-    const FitOptions& base_options, std::size_t folds = 5);
-
 }  // namespace ftbesst::model

@@ -29,13 +29,6 @@ void Dataset::add_row(std::vector<double> params,
   responses_.push_back(rows_.back().mean_response());
 }
 
-std::size_t Dataset::param_index(const std::string& name) const {
-  const auto it = std::find(names_.begin(), names_.end(), name);
-  if (it == names_.end())
-    throw std::out_of_range("unknown parameter: " + name);
-  return static_cast<std::size_t>(it - names_.begin());
-}
-
 std::pair<Dataset, Dataset> Dataset::split(double train_fraction,
                                            util::Rng& rng) const {
   train_fraction = std::clamp(train_fraction, 0.0, 1.0);

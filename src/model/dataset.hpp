@@ -41,9 +41,6 @@ class Dataset {
   [[nodiscard]] const Row& row(std::size_t i) const { return rows_.at(i); }
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
 
-  /// Index of a named parameter; throws if absent.
-  [[nodiscard]] std::size_t param_index(const std::string& name) const;
-
   // -- Structure-of-arrays view --------------------------------------------
   // Batch evaluators (model/expr_program.hpp, FeatureModel::predict_batch)
   // stream one parameter at a time over every row; the row structs above

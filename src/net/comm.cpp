@@ -64,38 +64,4 @@ double CommModel::neighbor_exchange_time(std::int64_t ranks, int degree,
   return per_msg * degree * contention_factor(flows);
 }
 
-double CommModel::broadcast_time(std::int64_t ranks,
-                                 std::uint64_t bytes) const {
-  if (ranks <= 1) return 0.0;
-  return log2_ceil(ranks) *
-         (alpha(topo_->diameter()) +
-          static_cast<double>(bytes) / params_.bandwidth);
-}
-
-double CommModel::average_hops() const {
-  const NodeId n = topo_->num_nodes();
-  if (n <= 1) return 0.0;
-  if (n <= 256) {
-    double acc = 0.0;
-    std::int64_t pairs = 0;
-    for (NodeId a = 0; a < n; ++a)
-      for (NodeId b = a + 1; b < n; ++b) {
-        acc += topo_->hops(a, b);
-        ++pairs;
-      }
-    return acc / static_cast<double>(pairs);
-  }
-  // Large networks: sample deterministic stratified pairs.
-  double acc = 0.0;
-  std::int64_t pairs = 0;
-  const NodeId stride = std::max<NodeId>(1, n / 128);
-  for (NodeId a = 0; a < n; a += stride)
-    for (NodeId b = a + 1; b < n; b += stride) {
-      acc += topo_->hops(a, b);
-      ++pairs;
-    }
-  return pairs ? acc / static_cast<double>(pairs)
-               : static_cast<double>(topo_->diameter()) / 2.0;
-}
-
 }  // namespace ftbesst::net

@@ -55,14 +55,6 @@ class CommModel {
   [[nodiscard]] double neighbor_exchange_time(std::int64_t ranks, int degree,
                                               std::uint64_t bytes) const;
 
-  /// Broadcast of `bytes` from one root to `ranks` endpoints (binomial).
-  [[nodiscard]] double broadcast_time(std::int64_t ranks,
-                                      std::uint64_t bytes) const;
-
-  /// Average hop count between two random distinct nodes (sampled exactly
-  /// for small networks, estimated from diameter for large ones).
-  [[nodiscard]] double average_hops() const;
-
  private:
   [[nodiscard]] double alpha(int hops) const noexcept;
 

@@ -325,7 +325,7 @@ Json op_predict(const Registry& registry, const Json& request) {
     std::vector<double> values;
     model.predict_batch(data, values);
     JsonArray out_values;
-    for (const double v : values) out_values.push_back(Json(v));
+    for (const double v : values) out_values.emplace_back(v);
     JsonObject out;
     out["values"] = Json(std::move(out_values));
     out["model"] = Json(model.describe());
@@ -401,7 +401,7 @@ Json op_inject(const Registry& registry, const Json& request) {
   fields["mean_lost_work"] = Json(res.mean_lost_work);
   JsonArray recoveries;
   for (const double r : res.mean_recoveries_by_level)
-    recoveries.push_back(Json(r));
+    recoveries.emplace_back(r);
   fields["mean_recoveries_by_level"] = Json(std::move(recoveries));
   fields["fault_records"] = Json(res.fault_log.size());
   return out;
@@ -467,10 +467,10 @@ Json dse_response(const std::vector<core::DsePoint>& points_result,
     JsonObject cell;
     cell["scenario"] = Json(p.scenario);
     JsonArray params;
-    for (const double v : p.params) params.push_back(Json(v));
+    for (const double v : p.params) params.emplace_back(v);
     cell["params"] = Json(std::move(params));
     cell["ensemble"] = summarize_ensemble(p.ensemble);
-    out_points.push_back(Json(std::move(cell)));
+    out_points.emplace_back(std::move(cell));
   }
   JsonObject out;
   out["points"] = Json(std::move(out_points));
@@ -581,12 +581,12 @@ std::string cell_dse_key(const WorkloadSpec& spec,
   scen["name"] = Json(scenario.name);
   scen["plan"] = Json(core::format_plan(scenario.plan));
   JsonArray scens;
-  scens.push_back(Json(std::move(scen)));
+  scens.emplace_back(std::move(scen));
   req["scenarios"] = Json(std::move(scens));
   JsonArray coords;
-  for (const double v : point) coords.push_back(Json(v));
+  for (const double v : point) coords.emplace_back(v);
   JsonArray pts;
-  pts.push_back(Json(std::move(coords)));
+  pts.emplace_back(std::move(coords));
   req["points"] = Json(std::move(pts));
   return canonical_key(Json(std::move(req)));
 }
@@ -610,7 +610,7 @@ Json search_cell_json(const search::EvaluatedCell& cell) {
   JsonObject out;
   out["scenario"] = Json(cell.scenario);
   JsonArray params;
-  for (const double v : cell.params) params.push_back(Json(v));
+  for (const double v : cell.params) params.emplace_back(v);
   out["params"] = Json(std::move(params));
   out["objective"] = Json(cell.objective);
   out["recoverability"] = Json(cell.recoverability);

@@ -433,7 +433,7 @@ std::size_t Router::warm_worker(Slot& slot, std::size_t index) {
     JsonObject obj;
     obj.emplace("key", Json(entry.key));
     obj.emplace("result", Json(entry.result));
-    batch.push_back(Json(std::move(obj)));
+    batch.emplace_back(std::move(obj));
     batch_bytes += approx;
   }
   flush();
@@ -551,7 +551,7 @@ void Router::describe(JsonObject& obj) {
       }
     }
     w.emplace("stats", std::move(worker_stats));
-    workers.push_back(Json(std::move(w)));
+    workers.emplace_back(std::move(w));
   }
   obj.emplace("worker_stats", Json(std::move(workers)));
 }

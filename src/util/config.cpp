@@ -64,10 +64,6 @@ Config Config::parse(const std::string& text) {
   return cfg;
 }
 
-bool Config::has_section(const std::string& section) const noexcept {
-  return sections_.count(section) > 0;
-}
-
 bool Config::has(const std::string& section,
                  const std::string& key) const noexcept {
   const auto it = sections_.find(section);

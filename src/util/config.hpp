@@ -26,7 +26,6 @@ class Config {
   /// malformed input (key outside a section, missing '=', bad section).
   [[nodiscard]] static Config parse(const std::string& text);
 
-  [[nodiscard]] bool has_section(const std::string& section) const noexcept;
   [[nodiscard]] bool has(const std::string& section,
                          const std::string& key) const noexcept;
   [[nodiscard]] std::vector<std::string> sections() const;

@@ -89,20 +89,4 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 64.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double p = uniform();
-    while (p > limit) {
-      ++k;
-      p *= uniform();
-    }
-    return k;
-  }
-  const double draw = normal(mean, std::sqrt(mean));
-  return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
 }  // namespace ftbesst::util

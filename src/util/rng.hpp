@@ -52,9 +52,6 @@ class Rng {
   [[nodiscard]] double lognormal_median(double median, double sigma) noexcept;
   /// Exponential with the given rate (events per unit time). rate > 0.
   [[nodiscard]] double exponential(double rate) noexcept;
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
 
  private:
   std::array<std::uint64_t, 4> s_{};

@@ -66,48 +66,6 @@ double mape_percent(std::span<const double> actual,
   return used == 0 ? 0.0 : 100.0 * acc / static_cast<double>(used);
 }
 
-double rmse(std::span<const double> actual,
-            std::span<const double> predicted) {
-  const std::size_t n = std::min(actual.size(), predicted.size());
-  if (n == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = predicted[i] - actual[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(n));
-}
-
-double r_squared(std::span<const double> actual,
-                 std::span<const double> predicted) {
-  const std::size_t n = std::min(actual.size(), predicted.size());
-  if (n == 0) return 0.0;
-  const double m = mean(actual.subspan(0, n));
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ss_res += (actual[i] - predicted[i]) * (actual[i] - predicted[i]);
-    ss_tot += (actual[i] - m) * (actual[i] - m);
-  }
-  if (ss_tot == 0.0) return 0.0;
-  return 1.0 - ss_res / ss_tot;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return 0.0;
-  const double mx = mean(xs.subspan(0, n));
-  const double my = mean(ys.subspan(0, n));
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sxy += (xs[i] - mx) * (ys[i] - my);
-    sxx += (xs[i] - mx) * (xs[i] - mx);
-    syy += (ys[i] - my) * (ys[i] - my);
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 void RunningStats::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;

@@ -41,19 +41,6 @@ struct Summary {
 [[nodiscard]] double mape_percent(std::span<const double> actual,
                                   std::span<const double> predicted);
 
-/// Root mean square error.
-[[nodiscard]] double rmse(std::span<const double> actual,
-                          std::span<const double> predicted);
-
-/// Coefficient of determination R^2 (1 - SS_res/SS_tot). Returns 0 when the
-/// actuals have zero variance.
-[[nodiscard]] double r_squared(std::span<const double> actual,
-                               std::span<const double> predicted);
-
-/// Pearson correlation coefficient; 0 when either side has zero variance.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
-
 /// Streaming mean/variance accumulator (Welford). Numerically stable; used
 /// by the Monte-Carlo driver where traces are too long to retain.
 class RunningStats {

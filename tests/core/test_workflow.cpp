@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -182,62 +180,6 @@ TEST(RunDseCells, SubsetBitMatchesExhaustiveSweep) {
     const double b = exhaustive[2].ensemble.totals[t];
     EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "trial " << t;
   }
-}
-
-TEST(OverheadGrid, NormalizesToBaseline) {
-  std::vector<DsePoint> points;
-  auto mk = [](std::string scenario, std::vector<double> params,
-               double mean) {
-    DsePoint p;
-    p.scenario = std::move(scenario);
-    p.params = std::move(params);
-    p.ensemble.total.mean = mean;
-    return p;
-  };
-  points.push_back(mk("No FT", {10.0, 64.0}, 2.0));
-  points.push_back(mk("No FT", {10.0, 1000.0}, 2.4));
-  points.push_back(mk("L1", {10.0, 64.0}, 2.2));
-  points.push_back(mk("L1", {10.0, 1000.0}, 4.3));
-
-  const auto grid = overhead_grid(points, "No FT", {10.0, 64.0});
-  EXPECT_DOUBLE_EQ(grid.at("No FT").at({10.0, 64.0}), 100.0);
-  EXPECT_DOUBLE_EQ(grid.at("No FT").at({10.0, 1000.0}), 120.0);
-  EXPECT_DOUBLE_EQ(grid.at("L1").at({10.0, 64.0}), 110.0);
-  EXPECT_DOUBLE_EQ(grid.at("L1").at({10.0, 1000.0}), 215.0);
-  EXPECT_THROW(overhead_grid(points, "nope", {10.0, 64.0}),
-               std::invalid_argument);
-}
-
-TEST(OverheadGrid, QuantizedKeysSurviveFloatNoiseAndTextRoundTrip) {
-  std::vector<DsePoint> points;
-  DsePoint base;
-  base.scenario = "No FT";
-  base.params = {0.1 + 0.2, 2.0 / 3.0};  // 0.30000000000000004, 0.666...
-  base.ensemble.total.mean = 2.0;
-  points.push_back(base);
-  DsePoint other = base;
-  other.scenario = "L1";
-  other.ensemble.total.mean = 3.0;
-  points.push_back(other);
-
-  // The stored coordinate differs bitwise from the literal a caller would
-  // write; the quantized key bridges the gap.
-  ASSERT_NE(0.1 + 0.2, 0.3);
-  const auto grid = overhead_grid(points, "No FT", {0.3, 2.0 / 3.0});
-  EXPECT_DOUBLE_EQ(grid.at("L1").at(quantize_params({0.3, 2.0 / 3.0})),
-                   150.0);
-
-  // Coordinates that went through text formatting (12 significant digits,
-  // the CLI/report precision) land on the same cell as the originals.
-  std::vector<double> reparsed;
-  for (double v : base.params) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    reparsed.push_back(std::strtod(buf, nullptr));
-  }
-  ASSERT_NE(reparsed[1], base.params[1]);  // truncated below 1e-12
-  EXPECT_EQ(quantize_params(reparsed), quantize_params(base.params));
-  EXPECT_DOUBLE_EQ(grid.at("No FT").at(quantize_params(reparsed)), 100.0);
 }
 
 }  // namespace

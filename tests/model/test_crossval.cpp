@@ -79,18 +79,5 @@ TEST(CrossVal, InputValidation) {
       std::invalid_argument);
 }
 
-TEST(CrossVal, MethodSelectionPrefersBetterGeneralizer) {
-  const Dataset d = quadratic_data(0.05, 5);
-  const ModelMethod best = select_method_by_crossval(
-      d, {ModelMethod::kFeatureRegression, ModelMethod::kSymbolicRegression},
-      quick_options(ModelMethod::kAuto), 4);
-  // Either may win depending on noise; the call must return one of them.
-  EXPECT_TRUE(best == ModelMethod::kFeatureRegression ||
-              best == ModelMethod::kSymbolicRegression);
-  EXPECT_THROW((void)select_method_by_crossval(
-                   d, {}, quick_options(ModelMethod::kAuto), 4),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ftbesst::model

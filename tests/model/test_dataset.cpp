@@ -17,9 +17,6 @@ TEST(Dataset, BasicAccessors) {
   const Dataset d = grid_2x3();
   EXPECT_EQ(d.num_rows(), 6u);
   EXPECT_EQ(d.num_params(), 2u);
-  EXPECT_EQ(d.param_index("a"), 0u);
-  EXPECT_EQ(d.param_index("b"), 1u);
-  EXPECT_THROW((void)d.param_index("zzz"), std::out_of_range);
   EXPECT_DOUBLE_EQ(d.row(0).mean_response(), 11.5);
 }
 

@@ -58,7 +58,6 @@ TEST(CommModel, MonotoneInRanksAndBytes) {
   CommModel comm(torus, test_params());
   EXPECT_LE(comm.allreduce_time(8, 1024), comm.allreduce_time(64, 1024));
   EXPECT_LE(comm.allreduce_time(64, 1024), comm.allreduce_time(64, 4096));
-  EXPECT_LE(comm.broadcast_time(8, 1024), comm.broadcast_time(512, 1024));
   EXPECT_LE(comm.neighbor_exchange_time(8, 6, 1024),
             comm.neighbor_exchange_time(512, 6, 1024));
 }
@@ -79,18 +78,6 @@ TEST(CommModel, NeighborExchangeGrowsWithDegree) {
             comm.neighbor_exchange_time(64, 6, 65536));
   EXPECT_DOUBLE_EQ(comm.neighbor_exchange_time(1, 6, 65536), 0.0);
   EXPECT_DOUBLE_EQ(comm.neighbor_exchange_time(64, 0, 65536), 0.0);
-}
-
-TEST(CommModel, AverageHopsIsWithinBounds) {
-  Torus small({4, 4});
-  CommModel c1(small, test_params());
-  EXPECT_GT(c1.average_hops(), 0.0);
-  EXPECT_LE(c1.average_hops(), small.diameter());
-
-  Torus big({32, 32});  // exercises the sampled path (1024 > 256 nodes)
-  CommModel c2(big, test_params());
-  EXPECT_GT(c2.average_hops(), 0.0);
-  EXPECT_LE(c2.average_hops(), big.diameter());
 }
 
 TEST(CommModel, RejectsInvalidParams) {

@@ -55,10 +55,10 @@ std::vector<Json> unique_requests(std::size_t count) {
       req.emplace("op", Json(std::string("predict")));
       req.emplace("kernel", Json(std::string("lulesh_timestep")));
       JsonArray params;
-      params.push_back(Json(static_cast<std::int64_t>(4 + i % 32)));
-      params.push_back(Json(static_cast<std::int64_t>(8 << (i % 4))));
+      params.emplace_back(static_cast<std::int64_t>(4 + i % 32));
+      params.emplace_back(static_cast<std::int64_t>(8 << (i % 4)));
       req.emplace("params", Json(std::move(params)));
-      requests.push_back(Json(std::move(req)));
+      requests.emplace_back(std::move(req));
     } else {
       requests.push_back(
           simulate_request(static_cast<int>(9000 + i), 2 + i % 3));

@@ -91,27 +91,6 @@ TEST(Rng, ExponentialMeanIsInverseRate) {
   EXPECT_NEAR(mean(xs), 4.0, 0.1);
 }
 
-TEST(Rng, PoissonMeanAndVarianceMatch) {
-  Rng rng(17);
-  std::vector<double> xs(50000);
-  for (auto& x : xs) x = static_cast<double>(rng.poisson(6.5));
-  EXPECT_NEAR(mean(xs), 6.5, 0.1);
-  EXPECT_NEAR(sample_stddev(xs) * sample_stddev(xs), 6.5, 0.3);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApprox) {
-  Rng rng(18);
-  std::vector<double> xs(20000);
-  for (auto& x : xs) x = static_cast<double>(rng.poisson(200.0));
-  EXPECT_NEAR(mean(xs), 200.0, 1.0);
-}
-
-TEST(Rng, PoissonZeroMeanIsZero) {
-  Rng rng(19);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_EQ(rng.poisson(-3.0), 0u);
-}
-
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RngSeedSweep, UniformMeanNearHalf) {

@@ -79,35 +79,6 @@ TEST(Stats, MapeIsSymmetricInSignOfError) {
   EXPECT_DOUBLE_EQ(mape_percent(actual, over), mape_percent(actual, under));
 }
 
-TEST(Stats, RmseMatchesHandComputation) {
-  const std::array<double, 2> actual{0.0, 0.0};
-  const std::array<double, 2> pred{3.0, 4.0};
-  EXPECT_NEAR(rmse(actual, pred), std::sqrt(12.5), 1e-12);
-}
-
-TEST(Stats, RSquaredPerfectFitIsOne) {
-  const std::array<double, 4> a{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(r_squared(a, a), 1.0);
-}
-
-TEST(Stats, RSquaredMeanPredictorIsZero) {
-  const std::array<double, 4> a{1.0, 2.0, 3.0, 4.0};
-  const std::array<double, 4> p{2.5, 2.5, 2.5, 2.5};
-  EXPECT_DOUBLE_EQ(r_squared(a, p), 0.0);
-}
-
-TEST(Stats, PearsonOfLinearRelationIsOne) {
-  const std::array<double, 4> xs{1.0, 2.0, 3.0, 4.0};
-  const std::array<double, 4> ys{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-}
-
-TEST(Stats, PearsonOfAntiLinearIsMinusOne) {
-  const std::array<double, 4> xs{1.0, 2.0, 3.0, 4.0};
-  const std::array<double, 4> ys{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(xs, ys), -1.0, 1e-12);
-}
-
 TEST(RunningStats, MatchesBatchStatistics) {
   Rng rng(99);
   std::vector<double> xs(10000);
