@@ -1,14 +1,15 @@
 // Extension bench: DES-core scaling by symmetry folding, as
 // machine-readable JSON.
 //
-//   - "engine_fold": run_des with symmetry folding on vs off, on the
-//     largest corpus machine (48 symmetric ranks) and the Fig.-1-class
-//     Vulcan notional machine (393,216 ranks = 96 leaves x 256 nodes x 16
-//     ranks/node). Reports wall-clock, PDES events, events/sec, and the
-//     fold speedup. Folding collapses every symmetric rank onto one
-//     representative (sim/fold.hpp), so the folded run prices the 400k-rank
-//     machine with a constant-size event population while the predictions
-//     stay bitwise identical.
+//   - "engine_fold": run_des with symmetry folding on vs off, on two
+//     golden-corpus machines read from tests/corpus: the largest generated
+//     one (big_machine, 48 symmetric ranks, reported as corpus_48) and the
+//     Fig.-1-class Vulcan notional machine (vulcan_393k, 393,216 ranks =
+//     96 leaves x 256 nodes x 16 ranks/node). Reports wall-clock, PDES
+//     events, events/sec, and the fold speedup. Folding collapses every
+//     symmetric rank onto one representative (sim/fold.hpp), so the folded
+//     run prices the 400k-rank machine with a constant-size event
+//     population while the predictions stay bitwise identical.
 //
 // Exit 1 (DIVERGENCE/GATE line on stderr) if:
 //   - folded and unfolded predictions differ bitwise on either scenario,
@@ -18,6 +19,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -32,42 +34,15 @@ using bench::seconds_since;
 
 namespace {
 
-/// The big_machine.scenario corpus entry, stripped to its deterministic
-/// core (run_des prices single deterministic executions).
-verify::Scenario corpus_48() {
-  verify::Scenario s;
-  s.seed = 31;
-  s.leaves = 3;
-  s.nodes_per_leaf = 8;
-  s.spines = 2;
-  s.ranks_per_node = 4;
-  s.ranks = 48;
-  s.timesteps = 10;
-  s.kernel_cost = 0.5;
-  s.exchange_degree = 4;
-  s.exchange_bytes = 1u << 20;
-  s.plan = {{ft::Level::kL2, 5, false}};
-  return s;
-}
-
-/// The vulcan_393k.scenario corpus entry: 96 x 256 x 16 = 393,216 ranks.
-verify::Scenario vulcan_393k() {
-  verify::Scenario s;
-  s.seed = 47;
-  s.leaves = 96;
-  s.nodes_per_leaf = 256;
-  s.spines = 16;
-  s.ranks_per_node = 16;
-  s.ranks = 393216;
-  s.timesteps = 12;
-  s.kernel_cost = 30.0;
-  s.exchange_degree = 6;
-  s.exchange_bytes = 2u << 20;
-  s.allreduce_bytes = 8192;
-  s.fti.group_size = 16;
-  s.fti.node_size = 4;
-  s.ckpt_bytes_per_rank = 128u << 20;
-  s.plan = {{ft::Level::kL1, 2, false}, {ft::Level::kL4, 6, false}};
+/// A golden-corpus entry, stripped to its deterministic core (run_des
+/// prices single deterministic executions): no faults, no Monte-Carlo, no
+/// noise.
+verify::Scenario corpus_entry(const char* name) {
+  verify::Scenario s = verify::Scenario::from_file(
+      std::string(FTBESST_CORPUS_DIR) + "/" + name + ".scenario");
+  s.inject_faults = false;
+  s.monte_carlo = false;
+  s.noise_sigma = 0.0;
   return s;
 }
 
@@ -110,8 +85,8 @@ int main() {
     FoldLeg folded, unfolded;
   };
   std::vector<Entry> entries = {
-      {"corpus_48", corpus_48(), false, {}, {}},
-      {"vulcan_393k", vulcan_393k(), true, {}, {}}};
+      {"corpus_48", corpus_entry("big_machine"), false, {}, {}},
+      {"vulcan_393k", corpus_entry("vulcan_393k"), true, {}, {}}};
   bool identical = true;
   double gated_speedup = 1e300, gated_folded_wall = 0;
   for (Entry& e : entries) {

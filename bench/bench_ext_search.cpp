@@ -25,10 +25,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,14 +179,10 @@ int main() {
   }
 
   std::vector<MachineRun> runs;
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    std::ostringstream text;
-    text << in.rdbuf();
+  for (const auto& path : files)
     runs.push_back(run_machine(path.stem().string(),
-                               verify::Scenario::from_text(text.str()),
+                               verify::Scenario::from_file(path.string()),
                                budget_fraction));
-  }
 
   bool all_pass = true;
   svc::JsonObject machines;

@@ -38,8 +38,8 @@
 #     ThreadSanitizer — the verify suite runs many simulations at once on
 #     the task pool, and folding is on by default, so the folded paths run
 #     sanitized — plus the bench_ext_des gates on the Release tree:
-#     folded/unfolded predictions bitwise identical across the golden
-#     corpus, and the 393k-rank Vulcan scenario at >= 20x fold speedup
+#     folded/unfolded predictions bitwise identical on two golden-corpus
+#     machines, and the 393k-rank Vulcan scenario at >= 20x fold speedup
 #     and < 10 s folded wall.
 #
 #   - a fault-injection pass: the src/inject test suite (ledger,
@@ -257,9 +257,10 @@ if [ "$run_verify" = 1 ]; then
   echo "== Verification pass (differential + corpus + fuzz) =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "$jobs" --target ftbesst test_verify
-  # The three ISSUE-5 gates, straight from the CLI: 200 differential
-  # scenarios (any failure is shrunk and dumped for triage), byte-exact
-  # corpus replay at threads 1 and 4, and the budgeted fuzz campaigns.
+  # The three verification gates, straight from the CLI: 200 differential
+  # scenarios (any failure is shrunk and dumped for triage), the corpus
+  # pass (byte-exact replay plus every differential leg on every entry),
+  # and the budgeted fuzz campaigns.
   ./build-release/tools/ftbesst verify --differential 200 --seed 1 \
     --dump build-release/diff-failures
   ./build-release/tools/ftbesst verify --corpus tests/corpus

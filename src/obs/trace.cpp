@@ -148,11 +148,12 @@ void write_chrome_trace(std::ostream& os) {
   // One event value at a time, so export never holds every span as a JSON
   // object at once.
   std::string event;
-  const char* sep = "";
+  bool first = true;
   for (const SpanRecord& r : snap.spans) {
     if (!r.name) continue;
-    event = sep;
-    sep = ",";
+    if (!first) os << ',';
+    first = false;
+    event.clear();
     util::Json(util::JsonObject{
                    {"cat", "ftbesst"},
                    {"dur", static_cast<double>(r.dur_ns) / 1000.0},

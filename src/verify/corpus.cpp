@@ -6,9 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/engine_des.hpp"
 #include "core/montecarlo.hpp"
 #include "util/number.hpp"
+#include "verify/search_check.hpp"
 
 namespace ftbesst::verify {
 
@@ -51,6 +51,48 @@ std::string first_divergence(const std::string& got,
   }
 }
 
+/// Every `<dir>/*.scenario`, sorted by name.
+std::vector<std::filesystem::path> corpus_files(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  try {
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      if (entry.is_regular_file() &&
+          entry.path().extension() == ".scenario")
+        files.push_back(entry.path());
+  } catch (const std::filesystem::filesystem_error& e) {
+    throw std::invalid_argument("cannot read corpus directory '" + dir +
+                                "': " + e.what());
+  }
+  if (files.empty())
+    throw std::invalid_argument("corpus directory '" + dir +
+                                "' holds no .scenario file");
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// The golden leg: result_to_text(s, 1) against the recorded `.expected`.
+void check_golden(const Scenario& s, const std::filesystem::path& path,
+                  DiffReport& report) {
+  std::filesystem::path expected_path = path;
+  expected_path.replace_extension(".expected");
+  const std::string expected_name = expected_path.filename().string();
+  if (!std::filesystem::exists(expected_path)) {
+    add_failure(report, "golden",
+                "missing " + expected_name +
+                    " (run `ftbesst verify --corpus <dir> --update 1`)",
+                s);
+    return;
+  }
+  const std::string got = result_to_text(s, 1);
+  ++report.golden_checks;
+  const std::string want = read_file(expected_path);
+  if (got != want)
+    add_failure(report, "golden",
+                "replay diverged from " + expected_name + ": " +
+                    first_divergence(got, want),
+                s);
+}
+
 }  // namespace
 
 std::string result_to_text(const Scenario& s, unsigned threads) {
@@ -76,124 +118,23 @@ std::string result_to_text(const Scenario& s, unsigned threads) {
   return out;
 }
 
-std::string CorpusReport::summary() const {
-  std::string out = "corpus: " + std::to_string(entries) + " entries, " +
-                    std::to_string(replayed) + " replayed, " +
-                    std::to_string(mismatches.size()) + " mismatch(es)\n";
-  for (const CorpusMismatch& m : mismatches)
-    out += "MISMATCH [" + m.name + "] " + m.detail + "\n";
-  return out;
-}
-
-namespace {
-
-std::vector<std::filesystem::path> corpus_files(const std::string& dir) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir))
-    if (entry.is_regular_file() &&
-        entry.path().extension() == ".scenario")
-      files.push_back(entry.path());
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-}  // namespace
-
-CorpusReport replay_corpus(const std::string& dir,
-                           bool check_thread_invariance) {
-  CorpusReport report;
+DiffReport replay_corpus(const std::string& dir) {
+  DiffReport report;
   for (const std::filesystem::path& path : corpus_files(dir)) {
-    ++report.entries;
     const std::string name = path.stem().string();
-    std::filesystem::path expected_path = path;
-    expected_path.replace_extension(".expected");
+    DiffReport entry;
     try {
-      const Scenario s = Scenario::from_text(read_file(path));
-      if (!std::filesystem::exists(expected_path)) {
-        report.mismatches.push_back(
-            {name, "missing " + expected_path.filename().string() +
-                       " (run `ftbesst verify --corpus <dir> --update`)"});
-        continue;
-      }
-      const std::string want = read_file(expected_path);
-      const std::string serial = result_to_text(s, 1);
-      ++report.replayed;
-      if (serial != want) {
-        report.mismatches.push_back(
-            {name, "threads=1 replay diverged: " +
-                       first_divergence(serial, want)});
-        continue;
-      }
-      if (check_thread_invariance) {
-        const std::string parallel = result_to_text(s, 4);
-        if (parallel != want)
-          report.mismatches.push_back(
-              {name, "threads=4 replay diverged: " +
-                         first_divergence(parallel, want)});
-      }
+      const Scenario s = Scenario::from_file(path.string());
+      check_golden(s, path, entry);
+      entry.merge(check_scenario(s));
+      if (name.starts_with("search_"))
+        entry.merge(check_search_vs_exhaustive(s));
     } catch (const std::exception& e) {
-      report.mismatches.push_back({name, std::string("exception: ") +
-                                             e.what()});
+      add_failure(entry, "exception", e.what(), Scenario{});
     }
-  }
-  return report;
-}
-
-namespace {
-
-/// Canonical text form of one run_des prediction. Mirrors result_to_text's
-/// shortest-round-trip formatting; sim_events is deliberately excluded
-/// (it is a diagnostic that folding shrinks, see core::RunResult).
-std::string des_result_to_text(const core::RunResult& r) {
-  std::string out = "ftbesst-verify-des-result v1\n";
-  out += "completed " + std::to_string(r.completed ? 1 : 0) + '\n';
-  out += "total " + util::format_double(r.total_seconds) + '\n';
-  out += "instructions " + std::to_string(r.instructions_executed) + '\n';
-  out += "faults " + std::to_string(r.faults) + '\n';
-  out += "rollbacks " + std::to_string(r.rollbacks) + '\n';
-  out += "full_restarts " + std::to_string(r.full_restarts) + '\n';
-  append_series(out, "timestep_end", r.timestep_end_times);
-  out += "checkpoints";
-  for (const int t : r.checkpoint_timesteps)
-    out += ' ' + std::to_string(t);
-  out += '\n';
-  return out;
-}
-
-}  // namespace
-
-CorpusReport replay_corpus_folded(const std::string& dir,
-                                  std::int64_t max_unfolded_ranks) {
-  CorpusReport report;
-  for (const std::filesystem::path& path : corpus_files(dir)) {
-    ++report.entries;
-    const std::string name = path.stem().string();
-    try {
-      Scenario clean = Scenario::from_text(read_file(path));
-      // run_des prices single deterministic executions; strip the
-      // stochastic ingredients exactly as the differential checker does.
-      clean.inject_faults = false;
-      clean.monte_carlo = false;
-      clean.noise_sigma = 0.0;
-      BuiltScenario built = build(clean);
-      built.options.fold_symmetry = true;
-      const std::string folded =
-          des_result_to_text(core::run_des(built.app, built.arch,
-                                           built.options));
-      ++report.replayed;
-      if (clean.ranks > max_unfolded_ranks) continue;  // folded-only tier
-      built.options.fold_symmetry = false;
-      const std::string unfolded =
-          des_result_to_text(core::run_des(built.app, built.arch,
-                                           built.options));
-      if (folded != unfolded)
-        report.mismatches.push_back(
-            {name, "folded-vs-unfolded replay diverged: " +
-                       first_divergence(folded, unfolded)});
-    } catch (const std::exception& e) {
-      report.mismatches.push_back({name, std::string("exception: ") +
-                                             e.what()});
-    }
+    entry.scenarios = 1;
+    for (DiffFailure& f : entry.failures) f.entry = name;
+    report.merge(entry);
   }
   return report;
 }
@@ -201,7 +142,7 @@ CorpusReport replay_corpus_folded(const std::string& dir,
 int record_corpus(const std::string& dir) {
   int written = 0;
   for (const std::filesystem::path& path : corpus_files(dir)) {
-    const Scenario s = Scenario::from_text(read_file(path));
+    const Scenario s = Scenario::from_file(path.string());
     std::filesystem::path expected_path = path;
     expected_path.replace_extension(".expected");
     std::ofstream out(expected_path, std::ios::binary);

@@ -1,6 +1,7 @@
 #pragma once
 // Golden scenario corpus: curated `.scenario` files with recorded expected
-// outputs (`.expected`), replayed byte-exactly.
+// outputs (`.expected`), replayed byte-exactly, plus every differential
+// check on every entry.
 //
 // Each corpus entry prices its scenario through the Monte-Carlo ensemble
 // driver (the path every real DSE result takes) with the scenario's fixed
@@ -8,18 +9,20 @@
 // (result_to_text). Replay recomputes that text and compares it to the
 // recorded file byte for byte — any drift in an engine, a cost model, the
 // RNG, or the threading layer shows up as a one-line diff naming the first
-// divergent line. Because per-trial seeds are pre-derived, the text is also
-// required to be identical for threads 1 vs N, which replay checks by
-// default (and the obs-under-verify test extends to obs on/off).
+// divergent line. The same pass then runs check_scenario on the entry
+// (analytic twin, des-vs-bsp, fold-vs-unfold, threads 1 vs 4, Young/Daly,
+// and the injected fold/threads/Young/Daly checks) and, on `search_*`
+// entries, check_search_vs_exhaustive — so one walk of the corpus holds
+// every determinism and agreement contract at once.
 //
 // To add an entry: write `tests/corpus/<name>.scenario` (omitted keys take
 // the documented defaults), then run
-//   ftbesst verify --corpus tests/corpus --update
+//   ftbesst verify --corpus tests/corpus --update 1
 // and commit both files. See docs/TESTING.md.
 
 #include <string>
-#include <vector>
 
+#include "verify/differential.hpp"
 #include "verify/scenario.hpp"
 
 namespace ftbesst::verify {
@@ -30,40 +33,18 @@ namespace ftbesst::verify {
 [[nodiscard]] std::string result_to_text(const Scenario& s,
                                          unsigned threads = 1);
 
-struct CorpusMismatch {
-  std::string name;    ///< corpus entry (file stem)
-  std::string detail;  ///< what diverged, incl. the first differing line
-};
-
-struct CorpusReport {
-  int entries = 0;    ///< .scenario files found
-  int replayed = 0;   ///< entries priced and compared
-  std::vector<CorpusMismatch> mismatches;
-
-  [[nodiscard]] bool ok() const noexcept { return mismatches.empty(); }
-  [[nodiscard]] std::string summary() const;
-};
-
-/// Replay every `<dir>/*.scenario` (sorted by name) against its sibling
-/// `.expected`. With `check_thread_invariance`, each entry is priced at
-/// threads 1 and threads 4 and both texts must match the recording.
-[[nodiscard]] CorpusReport replay_corpus(const std::string& dir,
-                                         bool check_thread_invariance = true);
+/// The corpus pass. Walks `<dir>/*.scenario` sorted by name; for each
+/// entry it compares result_to_text(s, 1) with the sibling `.expected`
+/// byte for byte (a "golden" failure; a missing `.expected` names
+/// `--update`), runs check_scenario(s), and on `search_*` entries runs
+/// check_search_vs_exhaustive(s). Every failure carries its entry name.
+/// Throws std::invalid_argument naming `dir` when it cannot be read or
+/// holds no `.scenario` file: an empty corpus checks nothing.
+[[nodiscard]] DiffReport replay_corpus(const std::string& dir);
 
 /// (Re)record `<name>.expected` for every scenario in `dir`. Returns the
-/// number of entries written.
+/// number of entries written; throws like replay_corpus on an unreadable
+/// or empty directory.
 int record_corpus(const std::string& dir);
-
-/// Fold-invariance replay: price a deterministic copy of every corpus
-/// scenario through run_des twice — symmetry folding on and off — and
-/// require the serialized prediction texts to match byte for byte (the
-/// text deliberately excludes the diagnostic event count, which folding
-/// shrinks). Entries with more than `max_unfolded_ranks` logical ranks
-/// skip the unfolded leg (pricing 400k individual rank components is a
-/// slow-tier job, exercised by the labelled ctest target and the
-/// bench_ext_des gate) but still must price cleanly folded, so the
-/// notional-machine corpus entry stays under tier-1 replay.
-[[nodiscard]] CorpusReport replay_corpus_folded(
-    const std::string& dir, std::int64_t max_unfolded_ranks = 1 << 16);
 
 }  // namespace ftbesst::verify

@@ -49,15 +49,6 @@ Scenario deterministic_copy(const Scenario& s) {
   return clean;
 }
 
-void add_failure(DiffReport& report, std::string check, std::string detail,
-                 const Scenario& s) {
-  DiffFailure f;
-  f.check = std::move(check);
-  f.detail = std::move(detail);
-  f.scenario = s;
-  report.failures.push_back(std::move(f));
-}
-
 // --- leg 1: analytic twin vs run_bsp (clean, deterministic) ---
 void check_analytic(const Scenario& s, const DiffTolerances& tol,
                     const BuildOverrides& overrides, DiffReport& report) {
@@ -128,9 +119,11 @@ void check_engines(const Scenario& s, const DiffTolerances& tol,
 // one representative per class and scales counters by multiplicity at
 // aggregation. It is a pure execution-cost optimization: every prediction
 // field must match the unfolded run bit for bit, and the folded run must
-// touch no more PDES events than the unfolded one.
+// touch no more PDES events than the unfolded one. Skipped above
+// kMaxUnfoldedRanks, where des-vs-bsp still prices the folded run.
 void check_fold(const Scenario& s, const BuildOverrides& overrides,
                 DiffReport& report) {
+  if (s.ranks > kMaxUnfoldedRanks) return;
   const Scenario clean = deterministic_copy(s);
   BuiltScenario built = build(clean, overrides);
   built.options.fold_symmetry = true;
@@ -249,7 +242,8 @@ void check_young_daly(const Scenario& s, const DiffTolerances& tol,
 //      fault-log byte — rollback is coordinated (every rank rewinds to the
 //      same checkpoint at the same instant), so struck ranks stay folded
 //      and folding must stay a pure execution-cost optimization even
-//      mid-recovery (the rule documented at run_des's fold gate);
+//      mid-recovery (the rule documented at run_des's fold gate); skipped
+//      above kMaxUnfoldedRanks;
 //  (b) injection campaign threads 1 vs 4, bit-identical — per-trial fault
 //      seeds are derived before any trial runs;
 //  (c) on Young/Daly-eligible scenarios, the campaign mean makespan must
@@ -265,7 +259,7 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
   det.noise_sigma = 0.0;
   ++report.inject_checks;
 
-  {  // (a) injected fold vs unfold
+  if (det.ranks <= kMaxUnfoldedRanks) {  // (a) injected fold vs unfold
     BuiltScenario built = build(det, overrides);
     built.options.fold_symmetry = true;
     const core::RunResult folded =
@@ -331,8 +325,18 @@ void check_inject(const Scenario& s, const DiffTolerances& tol,
 
 }  // namespace
 
+void add_failure(DiffReport& report, std::string check, std::string detail,
+                 const Scenario& s) {
+  DiffFailure f;
+  f.check = std::move(check);
+  f.detail = std::move(detail);
+  f.scenario = s;
+  report.failures.push_back(std::move(f));
+}
+
 void DiffReport::merge(const DiffReport& other) {
   scenarios += other.scenarios;
+  golden_checks += other.golden_checks;
   analytic_checks += other.analytic_checks;
   engine_checks += other.engine_checks;
   fold_checks += other.fold_checks;
@@ -345,9 +349,11 @@ void DiffReport::merge(const DiffReport& other) {
                   other.failures.end());
 }
 
-std::string DiffReport::summary() const {
-  std::string out = "differential: ";
-  out += std::to_string(scenarios) + " scenarios, ";
+std::string DiffReport::summary(std::string_view pass) const {
+  std::string out(pass);
+  out += ": " + std::to_string(scenarios) + " scenarios, ";
+  if (golden_checks > 0)
+    out += std::to_string(golden_checks) + " golden, ";
   out += std::to_string(analytic_checks) + " analytic, ";
   out += std::to_string(engine_checks) + " des-vs-bsp, ";
   out += std::to_string(fold_checks) + " fold-vs-unfold, ";
@@ -358,10 +364,12 @@ std::string DiffReport::summary() const {
   out += std::to_string(search_checks) + " search checks, ";
   out += std::to_string(failures.size()) + " failure(s)\n";
   for (const DiffFailure& f : failures) {
-    out += "FAIL [" + f.check + "] seed=" + std::to_string(f.generator_seed) +
-           " index=" + std::to_string(f.scenario_index) + ": " + f.detail +
-           "\n--- shrunk scenario ---\n" + f.scenario.to_text() +
-           "-----------------------\n";
+    out += "FAIL [" + f.check + "] ";
+    out += f.entry.empty() ? "seed=" + std::to_string(f.generator_seed) +
+                                 " index=" + std::to_string(f.scenario_index)
+                           : "entry=" + f.entry;
+    out += ": " + f.detail + "\n--- shrunk scenario ---\n" +
+           f.scenario.to_text() + "-----------------------\n";
   }
   return out;
 }

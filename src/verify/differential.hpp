@@ -8,7 +8,8 @@
 // regression in one of them. check_scenario runs every applicable
 // comparison; run_differential drives it over a seeded scenario stream,
 // shrinks any failure to a minimal reproducer, and (optionally) dumps the
-// shrunk `.scenario` files for triage.
+// shrunk `.scenario` files for triage. The golden-corpus pass
+// (verify/corpus.hpp) runs check_scenario on every committed entry.
 //
 // Tolerance contract (documented in docs/TESTING.md):
 //  * analytic twin vs run_bsp (clean, deterministic): relative 1e-9 —
@@ -23,7 +24,9 @@
 //    symmetry folding (sim/fold.hpp) is a pure execution-cost optimization
 //    and must never change a prediction. Every field core::bit_difference
 //    compares must match; the folded run must also process no more events
-//    than the unfolded one.
+//    than the unfolded one. Scenarios above kMaxUnfoldedRanks skip this
+//    check (and the injected one below): one unfolded component per rank
+//    is too slow to price there.
 //  * run_ensemble threads 1 vs N: bit-identical in every field
 //    core::bit_difference compares, the fault-log bytes included.
 //  * Young/Daly expected runtime vs ensemble mean (eligible fault
@@ -32,17 +35,24 @@
 //  * in-simulation injection (src/inject, every fault scenario):
 //    injected run_des folded vs unfolded bit-identical (coordinated
 //    rollback keeps fold groups symmetric); injection campaign threads
-//    1 vs 4 bit-identical (the same comparisons); and, on Young/Daly-eligible scenarios, the
-//    campaign mean makespan within the same x1.6 band.
+//    1 vs 4 bit-identical (the same comparisons); and, on
+//    Young/Daly-eligible scenarios, the campaign mean makespan within the
+//    same x1.6 band.
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "verify/scenario.hpp"
 
 namespace ftbesst::verify {
+
+/// Above this many ranks the fold checks skip the unfolded run. Only the
+/// 393,216-rank vulcan_393k corpus entry exceeds it (about 84 ms folded,
+/// about 10 s unfolded); the scenario generator stays far below it.
+inline constexpr std::int64_t kMaxUnfoldedRanks = std::int64_t{1} << 16;
 
 struct DiffTolerances {
   double analytic_rel = 1e-9;
@@ -57,18 +67,21 @@ struct DiffTolerances {
 };
 
 struct DiffFailure {
-  std::string check;   ///< "analytic_twin" | "des_vs_bsp" | "fold_vs_unfold"
-                       ///< | "thread_bits" | "young_daly" | "inject_fold"
-                       ///< | "inject_threads" | "inject_young_daly"
-                       ///< | "search_vs_exhaustive" | "exception"
+  std::string check;   ///< "golden" | "analytic_twin" | "des_vs_bsp"
+                       ///< | "fold_vs_unfold" | "thread_bits" | "young_daly"
+                       ///< | "inject_fold" | "inject_threads"
+                       ///< | "inject_young_daly" | "search_vs_exhaustive"
+                       ///< | "exception"
   std::string detail;  ///< human-readable disagreement description
   std::uint64_t generator_seed = 0;  ///< 0 when not generator-produced
   std::uint64_t scenario_index = 0;
   Scenario scenario;   ///< shrunk reproducer (== original if unshrinkable)
+  std::string entry;   ///< corpus entry (file stem); empty when generated
 };
 
 struct DiffReport {
   int scenarios = 0;
+  int golden_checks = 0;  ///< corpus byte-replays against `.expected`
   int analytic_checks = 0;
   int engine_checks = 0;
   int fold_checks = 0;
@@ -81,10 +94,17 @@ struct DiffReport {
 
   [[nodiscard]] bool ok() const noexcept { return failures.empty(); }
   void merge(const DiffReport& other);
-  /// One-line counts plus one block per failure (check, seed/index,
-  /// detail, and the full scenario text for copy-paste reproduction).
-  [[nodiscard]] std::string summary() const;
+  /// One-line counts, headed by `pass`, plus one block per failure
+  /// (check, corpus entry or seed/index, detail, and the full scenario text
+  /// for copy-paste reproduction). The golden count appears only when a
+  /// golden check ran.
+  [[nodiscard]] std::string summary(
+      std::string_view pass = "differential") const;
 };
+
+/// Append a failure of `check` on `s` to `report`.
+void add_failure(DiffReport& report, std::string check, std::string detail,
+                 const Scenario& s);
 
 /// Run every applicable comparison for one scenario. `overrides` feeds the
 /// regression-injection tests: a checkpoint_cost_scale != 1 mis-prices the

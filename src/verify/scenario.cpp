@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -108,6 +109,14 @@ std::string Scenario::to_text() const {
     out += '\n';
   });
   return out;
+}
+
+Scenario Scenario::from_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::invalid_argument("cannot read '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return from_text(text.str());
 }
 
 Scenario Scenario::from_text(const std::string& text) {

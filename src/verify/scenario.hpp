@@ -76,6 +76,9 @@ struct Scenario {
   /// offending line on bad headers, unknown keys, or malformed values.
   /// Omitted keys keep their defaults.
   [[nodiscard]] static Scenario from_text(const std::string& text);
+  /// from_text on the contents of a `.scenario` file. Throws
+  /// std::invalid_argument naming `path` when it cannot be read.
+  [[nodiscard]] static Scenario from_file(const std::string& path);
 };
 
 /// Canonical plan spelling ("L1:40,L4:100a", "" for No-FT) — the same

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -80,24 +77,6 @@ class GridCheckpointModel final : public model::PerfModel {
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void add_failure(DiffReport& report, const Scenario& s, std::string check,
-                 std::string detail) {
-  DiffFailure f;
-  f.check = std::move(check);
-  f.detail = std::move(detail);
-  f.scenario = s;
-  report.failures.push_back(std::move(f));
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in)
-    throw std::invalid_argument("cannot read '" + path.string() + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 }  // namespace
@@ -308,26 +287,26 @@ DiffReport check_search_vs_exhaustive(const Scenario& s,
 
     ++report.search_checks;
     if (serial.to_text() != pooled.to_text())
-      add_failure(report, s, "search_vs_exhaustive",
-                  "to_text differs between threads=1 and the shared pool");
+      add_failure(report, "search_vs_exhaustive",
+                  "to_text differs between threads=1 and the shared pool", s);
 
     ++report.search_checks;
     const auto max_evals = static_cast<std::size_t>(
         std::ceil(budget_fraction * static_cast<double>(cells)));
     if (serial.evaluations > max_evals ||
         serial.trial_units > serial.budget_units)
-      add_failure(report, s, "search_vs_exhaustive",
+      add_failure(report, "search_vs_exhaustive",
                   "budget exceeded: " + std::to_string(serial.evaluations) +
                       " evaluations (cap " + std::to_string(max_evals) +
                       "), " + std::to_string(serial.trial_units) +
                       " trial units of " +
-                      std::to_string(serial.budget_units));
+                      std::to_string(serial.budget_units), s);
 
     ++report.search_checks;
     if (!bits_equal(serial.best.objective, best_mean))
-      add_failure(report, s, "search_vs_exhaustive",
+      add_failure(report, "search_vs_exhaustive",
                   "guided best " + std::to_string(serial.best.objective) +
-                      " != exhaustive optimum " + std::to_string(best_mean));
+                      " != exhaustive optimum " + std::to_string(best_mean), s);
 
     ++report.search_checks;
     std::vector<search::ParetoPoint> candidate;
@@ -336,11 +315,11 @@ DiffReport check_search_vs_exhaustive(const Scenario& s,
       candidate.push_back(
           search::ParetoPoint{c.flat, c.objective, c.recoverability});
     if (!search::front_dominates_or_equals(candidate, exhaustive_front))
-      add_failure(report, s, "search_vs_exhaustive",
+      add_failure(report, "search_vs_exhaustive",
                   "searched Pareto front (" +
                       std::to_string(candidate.size()) +
                       " points) fails to cover the exhaustive front (" +
-                      std::to_string(exhaustive_front.size()) + " points)");
+                      std::to_string(exhaustive_front.size()) + " points)", s);
 
     // Successive halving promotes on reduced-fidelity values, so its
     // optimum gate only holds where reduced fidelity is exact: the
@@ -358,38 +337,13 @@ DiffReport check_search_vs_exhaustive(const Scenario& s,
           g.space, bopt, g.make_app, g.arch, g.options);
       ++report.search_checks;
       if (!bits_equal(bandit.best.objective, best_mean))
-        add_failure(report, s, "search_vs_exhaustive",
+        add_failure(report, "search_vs_exhaustive",
                     "bandit best " + std::to_string(bandit.best.objective) +
                         " != exhaustive optimum " +
-                        std::to_string(best_mean));
+                        std::to_string(best_mean), s);
     }
   } catch (const std::exception& e) {
-    add_failure(report, s, "exception", e.what());
-  }
-  return report;
-}
-
-DiffReport run_search_corpus(const std::string& dir,
-                             double budget_fraction) {
-  std::vector<std::filesystem::path> files;
-  try {
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("search_", 0) == 0 &&
-          entry.path().extension() == ".scenario")
-        files.push_back(entry.path());
-    }
-  } catch (const std::filesystem::filesystem_error& e) {
-    throw std::invalid_argument("search corpus directory '" + dir +
-                                "': " + e.what());
-  }
-  std::sort(files.begin(), files.end());
-
-  DiffReport report;
-  for (const std::filesystem::path& path : files) {
-    const Scenario s = Scenario::from_text(read_file(path));
-    report.merge(check_search_vs_exhaustive(s, budget_fraction));
+    add_failure(report, "exception", e.what(), s);
   }
   return report;
 }

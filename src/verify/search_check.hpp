@@ -11,7 +11,7 @@
 // from the scenario's fixed ranks, which would misprice every other cell).
 //
 // check_search_vs_exhaustive() then prices the grid both ways and holds the
-// guided search to the ISSUE's acceptance contract:
+// guided search to this acceptance contract:
 //   * bit identity: SearchResult::to_text() at threads=1 equals threads=pool
 //   * budget: charged evaluations <= ceil(budget_fraction x grid cells) and
 //     charged trial units never exceed the granted budget
@@ -22,9 +22,8 @@
 //   * bandit (deterministic scenarios only): successive halving at full
 //     budget also lands on the exhaustive optimum bit-exactly
 //
-// run_search_corpus() replays the committed `tests/corpus/search_*.scenario`
-// machines through the leg — the golden corpus the acceptance gate (and
-// bench_ext_search) runs on.
+// The corpus pass (verify/corpus.hpp) runs the leg on every committed
+// `tests/corpus/search_*.scenario` machine, as bench_ext_search does.
 
 #include <functional>
 #include <string>
@@ -56,11 +55,5 @@ struct SearchGrid {
 /// header comment). Exceptions are captured as "exception" failures.
 [[nodiscard]] DiffReport check_search_vs_exhaustive(
     const Scenario& s, double budget_fraction = 0.10);
-
-/// Replay every `search_*.scenario` file in `dir` (sorted by filename)
-/// through check_search_vs_exhaustive. Throws std::invalid_argument when
-/// the directory cannot be read.
-[[nodiscard]] DiffReport run_search_corpus(const std::string& dir,
-                                           double budget_fraction = 0.10);
 
 }  // namespace ftbesst::verify

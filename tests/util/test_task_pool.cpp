@@ -130,7 +130,7 @@ TEST(TaskPool, ParallelForDynamicClaimingBalancesUnevenWork) {
   parallel_for(kN, [&hits](std::size_t i) {
     volatile double sink = 0.0;
     const int spin = (i % 10 == 0) ? 20000 : 10;
-    for (int k = 0; k < spin; ++k) sink += static_cast<double>(k);
+    for (int k = 0; k < spin; ++k) sink = sink + static_cast<double>(k);
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   int sum = 0;

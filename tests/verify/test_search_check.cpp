@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#ifndef FTBESST_CORPUS_DIR
+#error "FTBESST_CORPUS_DIR must point at tests/corpus"
+#endif
 
 namespace ftbesst::verify {
 namespace {
@@ -71,15 +78,22 @@ TEST(SearchCheck, RejectsScenariosThatCannotHostAGrid) {
   EXPECT_THROW((void)derive_search_grid(s), std::invalid_argument);
 }
 
-TEST(SearchCheck, RunSearchCorpusThrowsOnAMissingDirectory) {
-  EXPECT_THROW((void)run_search_corpus("/nonexistent/search-corpus"),
-               std::invalid_argument);
-}
-
 TEST(SearchCheck, GoldenSearchCorpusPassesTheAcceptanceGates) {
-  const DiffReport report = run_search_corpus(FTBESST_CORPUS_DIR);
-  EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_GE(report.scenarios, 3);  // the committed search_*.scenario set
+  namespace fs = std::filesystem;
+  std::vector<fs::path> paths;
+  for (const fs::directory_entry& e : fs::directory_iterator(FTBESST_CORPUS_DIR))
+    if (e.path().extension() == ".scenario" &&
+        e.path().stem().string().rfind("search_", 0) == 0)
+      paths.push_back(e.path());
+  std::sort(paths.begin(), paths.end());
+  EXPECT_GE(paths.size(), 3u);  // the committed search_*.scenario set
+  for (const fs::path& path : paths) {
+    const DiffReport report =
+        check_search_vs_exhaustive(Scenario::from_file(path.string()));
+    EXPECT_TRUE(report.ok()) << path.stem() << ":\n"
+                             << report.summary("search");
+    EXPECT_GT(report.search_checks, 0) << path.stem();
+  }
 }
 
 }  // namespace

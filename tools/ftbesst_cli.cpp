@@ -93,21 +93,16 @@
 //       mode, and the evaluation history.
 //
 //   ftbesst verify [--differential N [--dump DIR]] [--fuzz ITERS]
-//       [--corpus DIR [--update 1] [--threads-check 0|1]]
-//       [--search-corpus DIR [--budget-frac F]]
-//       [--fold-corpus DIR [--max-unfolded-ranks R]] [--seed S]
+//       [--corpus DIR [--update 1]] [--seed S]
 //       Verification harness (docs/TESTING.md): cross-engine differential
 //       checking over N generated scenarios (failures are shrunk and, with
 //       --dump, written as .scenario reproducers), in-process structure-
-//       aware fuzzing of the json/wire/plan/model parsers, and byte-exact
-//       golden-corpus replay (--update 1 re-records the .expected files).
-//       --fold-corpus prices each corpus entry through run_des with
-//       symmetry folding on and off and requires byte-identical
-//       predictions (entries above --max-unfolded-ranks run folded only).
-//       --search-corpus replays the search_*.scenario golden machines
-//       through the search_vs_exhaustive leg (guided search must hit the
-//       exhaustive optimum and cover its Pareto front within the budget,
-//       bit-identically across thread counts).
+//       aware fuzzing of the json/wire/plan/model parsers, and the golden-
+//       corpus pass: every entry replays byte-exactly against its
+//       .expected file and passes every differential check (fold, threads,
+//       injection, Young/Daly, and search-vs-exhaustive on search_*
+//       entries). --update 1 re-records the .expected files instead. A
+//       corpus directory with no .scenario file is an error.
 //       Exits 1 on any disagreement, fuzz bug, or corpus mismatch.
 //
 // All file formats are the plain-text ones from model/serialize.hpp.
@@ -951,10 +946,8 @@ int cmd_search(const util::ArgParser& args) {
 }
 
 int cmd_verify(const util::ArgParser& args) {
-  args.expect_known({"differential", "seed", "dump", "fuzz", "corpus",
-                     "update", "threads-check", "fold-corpus",
-                     "max-unfolded-ranks", "search-corpus", "budget-frac",
-                     "obs-out"});
+  args.expect_known(
+      {"differential", "seed", "dump", "fuzz", "corpus", "update", "obs-out"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   bool ran_anything = false;
   int rc = 0;
@@ -984,33 +977,15 @@ int cmd_verify(const util::ArgParser& args) {
       std::cout << "recorded " << n << " corpus entr"
                 << (n == 1 ? "y" : "ies") << " in " << *corpus_dir << "\n";
     } else {
-      const verify::CorpusReport report = verify::replay_corpus(
-          *corpus_dir, args.get_int("threads-check", 1) != 0);
-      std::cout << report.summary();
+      const verify::DiffReport report = verify::replay_corpus(*corpus_dir);
+      std::cout << report.summary("corpus");
       if (!report.ok()) rc = 1;
     }
   }
 
-  if (const auto fold_dir = args.get("fold-corpus")) {
-    ran_anything = true;
-    const verify::CorpusReport report = verify::replay_corpus_folded(
-        *fold_dir, args.get_int("max-unfolded-ranks", 1 << 16));
-    std::cout << "fold-" << report.summary();
-    if (!report.ok()) rc = 1;
-  }
-
-  if (const auto search_dir = args.get("search-corpus")) {
-    ran_anything = true;
-    const verify::DiffReport report = verify::run_search_corpus(
-        *search_dir, args.get_double("budget-frac", 0.10));
-    std::cout << "search-" << report.summary();
-    if (!report.ok()) rc = 1;
-  }
-
   if (!ran_anything) {
     std::cerr << "verify needs at least one of --differential N, --fuzz "
-                 "ITERS, --corpus DIR, --fold-corpus DIR, "
-                 "--search-corpus DIR\n";
+                 "ITERS, --corpus DIR\n";
     return 2;
   }
   return rc;
