@@ -7,7 +7,7 @@
 //     Fig.-1-class Vulcan notional machine (vulcan_393k, 393,216 ranks =
 //     96 leaves x 256 nodes x 16 ranks/node). Reports wall-clock, PDES
 //     events, events/sec, and the fold speedup. Folding collapses every
-//     symmetric rank onto one representative (sim/fold.hpp), so the folded
+//     symmetric rank onto one representative (core::run_des), so the folded
 //     run prices the 400k-rank machine with a constant-size event
 //     population while the predictions stay bitwise identical.
 //

@@ -85,8 +85,8 @@ core::EngineOptions make_options() {
   opt.seed = 424242;
   opt.inject_faults = true;
   opt.downtime_seconds = 2.0;
-  // Clean makespan is ~55 s; a 50x horizon keeps the pre-materialized
-  // per-node fault schedules small while leaving generous thrash headroom.
+  // Clean makespan is ~55 s; a 50x horizon bounds a thrashing run while
+  // leaving generous headroom.
   opt.max_sim_seconds = 50.0 * (kTimesteps * 0.5 + 20.0);
   return opt;
 }

@@ -34,7 +34,7 @@
 #     campaigns — the fuzz entries additionally under ASan+UBSan.
 #
 #   - a DES-scaling pass: the sim and verify test binaries (DES kernel,
-#     symmetry folding, fold-vs-unfold bit identity) under
+#     fold multiplicity counters, fold-vs-unfold bit identity) under
 #     ThreadSanitizer — the verify suite runs many simulations at once on
 #     the task pool, and folding is on by default, so the folded paths run
 #     sanitized — plus the bench_ext_des gates on the Release tree:
@@ -42,8 +42,9 @@
 #     machines, and the 393k-rank Vulcan scenario at >= 20x fold speedup
 #     and < 10 s folded wall.
 #
-#   - a fault-injection pass: the src/inject test suite (ledger,
-#     schedule, recovery matrix, DES injection, campaign) under
+#   - a fault-injection pass: the src/inject test suite (ledger, fault
+#     stream, recovery matrix, DES injection, campaign, and the golden
+#     pin of injected DES campaigns) under
 #     ThreadSanitizer — campaigns fan trials out over the shared task
 #     pool, so the thread-bit-identity claims run sanitized — plus the
 #     bench_ext_inject gates on the Release tree: a 1000-rank faulty
@@ -286,13 +287,14 @@ if [ "$run_verify" = 1 ]; then
 fi
 
 if [ "$run_des" = 1 ]; then
-  echo "== DES-scaling pass (kernel + folding under TSan, bench gates) =="
+  echo "== DES-scaling pass (kernel + folded runs under TSan, bench gates) =="
   # Simulations share nothing but the thread-local payload freelist, and
-  # the verify suite runs many of them at once on the task pool; folding
-  # defaults on, so the sim and verify suites exercise the folded paths
-  # under TSan directly (the verify suite adds the fold-vs-unfold
-  # differential leg and the folded corpus replay). Same probe-and-skip
-  # as the other sanitizer passes.
+  # the verify suite runs many of them at once on the task pool; run_des
+  # folds its ranks by default, so the verify suite exercises the folded
+  # paths under TSan directly (it adds the fold-vs-unfold differential
+  # leg and the folded corpus replay), and the sim suite checks the
+  # multiplicity-scaled counters. Same probe-and-skip as the other
+  # sanitizer passes.
   if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/ftbesst_tsan_probe 2>/dev/null; then
     rm -f /tmp/ftbesst_tsan_probe
     cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -301,7 +303,7 @@ if [ "$run_des" = 1 ]; then
     ./build-tsan/tests/test_sim
     ./build-tsan/tests/test_verify
   else
-    echo "!! ThreadSanitizer unavailable; sim/verify fold tests run unsanitized" >&2
+    echo "!! ThreadSanitizer unavailable; sim/verify tests run unsanitized" >&2
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-release -j "$jobs" --target test_sim test_verify
     ./build-release/tests/test_sim
@@ -314,14 +316,15 @@ if [ "$run_des" = 1 ]; then
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "$jobs" --target bench_ext_des
   ./build-release/bench/bench_ext_des > build-release/bench_ext_des.json
-  echo "des pass: TSan sim/fold suites + fold-identity/speedup gates passed"
+  echo "des pass: TSan sim/verify suites + fold-identity/speedup gates passed"
 fi
 
 if [ "$run_inject" = 1 ]; then
   echo "== Fault-injection pass (inject suite under TSan, campaign bench gates) =="
   # Campaigns fan independent trials out over the shared task pool and
   # claim bit-identity at any thread count; run the whole inject suite
-  # (ledger, schedule, recovery matrix, DES injection, campaign) under
+  # (ledger, fault stream, recovery matrix, DES injection, campaign, the
+  # DesInjectGolden byte pin) under
   # TSan so those claims are checked on sanitized threads. Same
   # probe-and-skip as the other sanitizer passes.
   if echo 'int main(){return 0;}' | c++ -fsanitize=thread -x c++ - -o /tmp/ftbesst_tsan_probe 2>/dev/null; then

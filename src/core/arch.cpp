@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/fold.hpp"
 
 namespace ftbesst::core {
 
@@ -54,28 +53,6 @@ void ArchBEO::bind_restart(ft::Level level, model::PerfModelPtr model) {
 const model::PerfModel* ArchBEO::restart(ft::Level level) const {
   const auto it = restart_.find(level);
   return it == restart_.end() ? nullptr : it->second.get();
-}
-
-std::uint64_t ArchBEO::fold_config_digest() const noexcept {
-  std::uint64_t h = sim::kFoldDigestSeed;
-  h = sim::fold_digest_string(h, name_);
-  h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(ranks_per_node_));
-  h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(topology_->num_nodes()));
-  const net::CommParams& p = comm_.params();
-  h = sim::fold_digest_f64(h, p.sw_latency);
-  h = sim::fold_digest_f64(h, p.injection_latency);
-  h = sim::fold_digest_f64(h, p.bandwidth);
-  h = sim::fold_digest_f64(h, p.congestion_gamma);
-  h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(fti_.group_size));
-  h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(fti_.node_size));
-  h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(fti_.l2_partners));
-  h = sim::fold_digest_u64(h, kernels_.size());
-  for (const auto& [kernel_name, model] : kernels_)
-    h = sim::fold_digest_string(h, kernel_name);
-  h = sim::fold_digest_u64(h, restart_.size());
-  for (const auto& [level, model] : restart_)
-    h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(level));
-  return h;
 }
 
 }  // namespace ftbesst::core

@@ -89,15 +89,6 @@ class ArchBEO {
     return sdc_;
   }
 
-  /// FNV-1a digest of the architecture configuration a rank's timing is
-  /// parameterized by: name, ranks-per-node, comm parameters, FTI layout,
-  /// and the set of bound kernel/restart model names. The config axis of
-  /// symmetry folding (sim::FoldSignature::config_digest). Model *names*
-  /// are digested, not fitted coefficients: two ArchBEOs binding different
-  /// models under the same name on the same machine description are not
-  /// distinguished — callers folding across architectures must compare
-  /// whole ArchBEO instances.
-  [[nodiscard]] std::uint64_t fold_config_digest() const noexcept;
 
  private:
   std::string name_;

@@ -2,28 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/fold.hpp"
-
 namespace ftbesst::core {
-
-std::uint64_t AppBEO::plan_digest() const noexcept {
-  std::uint64_t h = sim::kFoldDigestSeed;
-  h = sim::fold_digest_u64(h, program_.size());
-  for (const Instr& instr : program_) {
-    h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(instr.kind));
-    h = sim::fold_digest_string(h, instr.kernel);
-    h = sim::fold_digest_u64(h, instr.params.size());
-    for (double p : instr.params) h = sim::fold_digest_f64(h, p);
-    h = sim::fold_digest_u64(h, instr.bytes);
-    h = sim::fold_digest_u64(h,
-                             static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(instr.degree)));
-    h = sim::fold_digest_u64(h, static_cast<std::uint64_t>(instr.level));
-    h = sim::fold_digest_u64(h, instr.async ? 1 : 0);
-  }
-  h = sim::fold_digest_u64(h, ckpt_bytes_);
-  return h;
-}
 
 AppBEO::AppBEO(std::string name, std::int64_t ranks)
     : name_(std::move(name)), ranks_(ranks) {

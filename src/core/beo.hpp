@@ -49,11 +49,6 @@ class AppBEO {
   [[nodiscard]] std::size_t size() const noexcept { return program_.size(); }
   /// Number of kTimestepEnd markers in the program.
   [[nodiscard]] int timesteps() const noexcept { return timesteps_; }
-  /// FNV-1a digest of the full instruction list (every performance-relevant
-  /// field, plus checkpoint_bytes_per_rank). Two AppBEOs with equal digests
-  /// describe the same per-rank behaviour — the behaviour axis of symmetry
-  /// folding (sim::FoldSignature::behavior_digest).
-  [[nodiscard]] std::uint64_t plan_digest() const noexcept;
   /// Bytes of protected application state per rank (checkpoint volume).
   [[nodiscard]] std::uint64_t checkpoint_bytes_per_rank() const noexcept {
     return ckpt_bytes_;

@@ -1,6 +1,7 @@
 #include "core/engine_bsp.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "inject/ledger.hpp"
@@ -81,8 +82,10 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
         "fault injection requested but ArchBEO has no fault process");
   // Node universe for faults/recoverability, shared with the DES engine.
   const std::int64_t nodes = arch.fault_nodes(app.ranks());
+  // A replay trace is validated once, when its stream is built.
+  std::optional<inject::FaultStream> trace;
   if (options.inject_faults && replay)
-    inject::validate_schedule(*options.fault_trace, nodes);
+    trace.emplace(*options.fault_trace, nodes);
   priced.require_bound();
 
   const auto& program = app.program();
@@ -105,17 +108,9 @@ RunResult run_bsp(const PricedProgram& priced, const EngineOptions& options) {
   // The pending fault event (time/node/kind); re-drawn (or advanced along
   // the replay trace) after each strike. Without injection it never
   // strikes.
-  std::size_t trace_pos = 0;
   auto next_fault = [&](double from) -> ft::FaultEvent {
-    if (!replay)
-      return arch.fault_process()->next_after(from, nodes, fault_rng);
-    const std::vector<ft::FaultEvent>& trace = *options.fault_trace;
-    while (trace_pos < trace.size() && trace[trace_pos].time < from)
-      ++trace_pos;
-    if (trace_pos < trace.size()) return trace[trace_pos++];
-    ft::FaultEvent none;
-    none.time = inject::kNoFault;
-    return none;
+    if (trace) return trace->next(from);
+    return arch.fault_process()->next_after(from, nodes, fault_rng);
   };
   ft::FaultEvent pending;
   pending.time = -1.0;

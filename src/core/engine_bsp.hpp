@@ -39,8 +39,8 @@ struct EngineOptions {
   /// Inject faults from the ArchBEO's fault process (Cases 2/4). Without a
   /// fault process on the architecture this is an error. Both engines
   /// honour this: the coarse engine samples a system-level renewal process
-  /// on the fly; the DES engine (src/inject) pre-materializes per-node
-  /// schedules and replays recovery inside the event kernel. The DES path
+  /// on the fly; the DES engine (src/inject) draws per-node fault
+  /// streams and replays recovery inside the event kernel. The DES path
   /// additionally injects the ArchBEO's SDC process when one is set, and
   /// rejects use_des_network (in-flight flow deliveries cannot be rolled
   /// back).
@@ -70,12 +70,12 @@ struct EngineOptions {
   /// Requires the ArchBEO topology to be a TwoStageFatTree; ignored by the
   /// coarse engine.
   bool use_des_network = false;
-  /// DES engine only: collapse symmetric ranks — same AppBEO plan, same
-  /// architecture config, isomorphic link signature (sim/fold.hpp) — to one
-  /// representative component per equivalence class, carrying the class
-  /// multiplicity. Predictions are bitwise identical to the unfolded run;
-  /// only the event count shrinks. Folding is automatically disabled (every
-  /// rank is its own class) when `monte_carlo` is set, because per-rank RNG
+  /// DES engine only: collapse the ranks, which all run the same AppBEO
+  /// plan on the same architecture, to one representative component
+  /// carrying multiplicity ranks(). Predictions are bitwise identical to
+  /// the unfolded run; only the event count shrinks. Folding is
+  /// automatically disabled (every rank is its own class, in rank order)
+  /// when `monte_carlo` is set, because per-rank RNG
   /// streams make every rank behaviourally distinct, and when
   /// `use_des_network` is set, because ranks then occupy distinct network
   /// positions. See ARCHITECTURE.md, "Scaling the DES core".

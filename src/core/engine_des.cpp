@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -12,7 +13,6 @@
 #include "net/des_network.hpp"
 #include "net/des_torus.hpp"
 #include "obs/obs.hpp"
-#include "sim/fold.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
@@ -213,12 +213,12 @@ class Coordinator final : public Component {
     network_ = network;
     net_ranks_per_node_ = ranks_per_node;
   }
-  /// Arm fault injection: replay `schedule` (absolute strike times,
-  /// time-ordered) with recovery resolved by inject::resolve_fault.
-  void set_injection(std::vector<ft::FaultEvent> schedule,
+  /// Arm fault injection: strike the faults of `faults` with recovery
+  /// resolved by inject::resolve_fault.
+  void set_injection(inject::FaultStream faults,
                      const EngineOptions& options) {
     injected_ = true;
-    schedule_ = std::move(schedule);
+    faults_.emplace(std::move(faults));
     recovery_ = {&priced_->arch().fti(), app_->ranks(),
                  options.downtime_seconds, options.max_sim_seconds};
   }
@@ -229,7 +229,7 @@ class Coordinator final : public Component {
     while (sync_pc_ < program.size() && !is_collective(program[sync_pc_].kind))
       ++sync_pc_;
     if (injected_) {
-      pending_ = next_fault(0.0);
+      pending_ = faults_->next(0.0);
       schedule_next_fault();
     }
   }
@@ -355,7 +355,7 @@ class Coordinator final : public Component {
     if (done_) return;  // application already past its last rendezvous
     const inject::RecoveryOutcome out = inject::resolve_fault(
         pending_, sim::to_seconds(now()), recovery_, ledger_, result_,
-        [this](double from) { return next_fault(from); },
+        [this](double from) { return faults_->next(from); },
         [this](std::size_t pc) {
           return priced_->restart_cost(pc, monte_carlo_, rng_);
         });
@@ -365,17 +365,6 @@ class Coordinator final : public Component {
     }
     pending_ = out.next;
     resume(out.clock, out.resume_pc, out.timesteps_done);
-  }
-
-  /// Next scheduled fault striking at or after `from`; faults before it
-  /// are skipped for good.
-  ft::FaultEvent next_fault(double from) {
-    while (sched_pos_ < schedule_.size() && schedule_[sched_pos_].time < from)
-      ++sched_pos_;
-    if (sched_pos_ < schedule_.size()) return schedule_[sched_pos_++];
-    ft::FaultEvent none;
-    none.time = inject::kNoFault;
-    return none;
   }
 
   /// Rewind every rank to `pc` at wall-clock `resume_clock`: bump the epoch
@@ -433,8 +422,7 @@ class Coordinator final : public Component {
   // --- injection state (inactive unless set_injection was called) ---
   bool injected_ = false;
   bool done_ = false;
-  std::vector<ft::FaultEvent> schedule_;
-  std::size_t sched_pos_ = 0;
+  std::optional<inject::FaultStream> faults_;
   ft::FaultEvent pending_;
   std::uint64_t epoch_ = 0;
   inject::RecoveryLedger ledger_;
@@ -463,16 +451,15 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   sim::Simulation simulation;
   util::Rng root(options.seed);
 
-  // Fault schedule: pre-materialized from per-node splittable streams (or
-  // taken verbatim from a replay trace), so it is a pure function of the
-  // seed — independent of thread count and event interleaving. The node
-  // universe is the coarse engine's (ArchBEO::fault_nodes).
-  std::vector<ft::FaultEvent> schedule;
+  // Faults: per-node splittable streams drawn lazily (or a replay trace
+  // verbatim), so the sequence is a pure function of the seed, independent
+  // of thread count and event interleaving. The node universe is the
+  // coarse engine's (ArchBEO::fault_nodes).
+  std::optional<inject::FaultStream> faults;
   if (options.inject_faults) {
     const std::int64_t fault_nodes = arch.fault_nodes(app.ranks());
     if (options.fault_trace) {
-      schedule = *options.fault_trace;
-      inject::validate_schedule(schedule, fault_nodes);
+      faults.emplace(*options.fault_trace, fault_nodes);
     } else {
       const ft::FaultProcess* crashes =
           arch.fault_process() ? &*arch.fault_process() : nullptr;
@@ -481,9 +468,8 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
       if (crashes == nullptr && sdc == nullptr)
         throw std::invalid_argument(
             "fault injection requested but ArchBEO has no fault process");
-      schedule = inject::make_schedule(crashes, sdc, fault_nodes,
-                                       options.max_sim_seconds,
-                                       root.split(0xfa417u));
+      faults.emplace(crashes, sdc, fault_nodes, options.max_sim_seconds,
+                     root.split(0xfa417u));
     }
   }
 
@@ -519,44 +505,39 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
   }
 
   // Symmetry folding: in a deterministic, analytically-routed run every
-  // rank executes the same SPMD plan against the same architecture config
-  // from an indistinguishable position, so one representative per
-  // equivalence class stands for the whole class and the coordinator's
-  // rendezvous shrinks from N arrivals to one per class — predictions are
-  // bitwise identical, only the event count drops. Monte-Carlo mode gives
-  // every rank its own RNG stream and the executed network substrate gives
-  // every rank its own physical position; both break the symmetry, so the
-  // specs are marked non-foldable there (each rank stays a singleton
-  // class).
+  // rank executes the same SPMD plan against the same architecture from an
+  // indistinguishable position, so rank 0 stands for all of them, carrying
+  // multiplicity N, and the coordinator's rendezvous shrinks from N
+  // arrivals to one: predictions are bitwise identical, only the event
+  // count drops. Monte-Carlo mode gives every rank its own RNG stream and
+  // the executed network substrate gives every rank its own physical
+  // position; both break the symmetry, so there every rank is its own
+  // class, in rank order.
   //
   // Fault injection folds like a clean run: recovery is coordinated (every
   // rank rolls back to the same checkpoint at the same instant, the Fig. 3
   // semantics), so struck ranks never diverge from their class.
   const bool fold = options.fold_symmetry && !options.monte_carlo &&
                     !options.use_des_network;
-  sim::FoldSpec rank_spec;
-  rank_spec.signature = {"rank", app.plan_digest(), arch.fold_config_digest(),
-                         fold};
-  const sim::FoldPlan plan = sim::plan_folds(std::vector<sim::FoldSpec>(
-      static_cast<std::size_t>(app.ranks()), rank_spec));
+  const std::int64_t classes = fold ? 1 : app.ranks();
 
   std::vector<RankComponent*> ranks;
   std::vector<sim::ComponentId> rank_ids;
-  ranks.reserve(plan.groups().size());
-  for (const sim::FoldGroup& group : plan.groups()) {
-    const auto r = static_cast<std::int64_t>(group.representative);
+  ranks.reserve(static_cast<std::size_t>(classes));
+  rank_ids.reserve(static_cast<std::size_t>(classes));
+  for (std::int64_t r = 0; r < classes; ++r) {
     auto* rc = simulation.add_component<RankComponent>(
         r, priced, options.monte_carlo,
         root.split(static_cast<std::uint64_t>(r) + 1));
     rc->set_coordinator(coord->id());
-    rc->set_multiplicity(group.multiplicity());
+    rc->set_multiplicity(
+        fold ? static_cast<std::uint64_t>(app.ranks()) : 1);
     if (options.inject_faults) rc->enable_injection();
     ranks.push_back(rc);
     rank_ids.push_back(rc->id());
   }
   coord->set_ranks(std::move(rank_ids));
-  if (options.inject_faults)
-    coord->set_injection(std::move(schedule), options);
+  if (faults) coord->set_injection(std::move(*faults), options);
 
   priced.require_bound();
   const sim::SimStats stats = simulation.run();
@@ -567,7 +548,7 @@ RunResult run_des(const PricedProgram& priced, const EngineOptions& options) {
     static const obs::Gauge heap_hw = obs::gauge("des.heap_high_water");
     runs.add();
     events.add(stats.events_processed);
-    folded.add(plan.folded_away());
+    folded.add(static_cast<std::uint64_t>(app.ranks() - classes));
     heap_hw.max(static_cast<double>(stats.heap_high_water));
   }
 

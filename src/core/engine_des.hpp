@@ -21,8 +21,8 @@
 // coordinator releases the ranks when the last halo message is delivered.
 //
 // With EngineOptions::inject_faults set, the injection engine (src/inject)
-// drives in-simulation fault replay: a fault schedule is pre-materialized
-// from per-node splittable streams (or taken verbatim from
+// drives in-simulation fault replay: faults are drawn lazily from per-node
+// splittable streams (inject::FaultStream, or taken verbatim from
 // EngineOptions::fault_trace), the coordinator self-schedules each fault's
 // detection event, resolves recovery through inject::resolve_fault (shared
 // with the coarse engine: downtime, deepest surviving FTI level, restart

@@ -99,7 +99,7 @@ struct FaultModelEstimate {
 /// (bisection on k in [0.2, 10]; clamped at the ends).
 [[nodiscard]] double weibull_shape_from_cv(double cv);
 
-/// Per-fold-group fault accounting. Under symmetry folding (sim/fold.hpp)
+/// Per-fold-group fault accounting. Under symmetry folding
 /// a machine model keeps one representative node per equivalence class;
 /// a fault log recorded against such a model names representatives, each
 /// standing for `multiplicity[g]` physical nodes' worth of exposure. This

@@ -4,46 +4,84 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "inject/ledger.hpp"
 
 namespace ftbesst::inject {
 
-std::vector<ft::FaultEvent> make_schedule(const ft::FaultProcess* crashes,
-                                          const SdcProcess* sdc,
-                                          std::int64_t nodes,
-                                          double horizon_seconds,
-                                          const util::Rng& root) {
+bool FaultStream::later(const Source& a, const Source& b) {
+  if (a.pending.time != b.pending.time) return a.pending.time > b.pending.time;
+  if (a.pending.node != b.pending.node) return a.pending.node > b.pending.node;
+  return static_cast<int>(a.pending.kind) > static_cast<int>(b.pending.kind);
+}
+
+FaultStream::FaultStream(const ft::FaultProcess* crashes,
+                         const SdcProcess* sdc, std::int64_t nodes,
+                         double horizon_seconds, const util::Rng& root)
+    : crashes_(crashes), sdc_(sdc), horizon_(horizon_seconds) {
   if (nodes < 1) throw std::invalid_argument("schedule needs nodes >= 1");
   if (!std::isfinite(horizon_seconds) || horizon_seconds < 0.0)
     throw std::invalid_argument("schedule horizon must be finite and >= 0");
-
-  std::vector<ft::FaultEvent> schedule;
+  heap_.reserve(static_cast<std::size_t>(nodes) *
+                ((crashes != nullptr ? 1 : 0) + (sdc != nullptr ? 1 : 0)));
   for (std::int64_t n = 0; n < nodes; ++n) {
+    const auto stream = 2 * static_cast<std::uint64_t>(n);
+    Source s;
     if (crashes != nullptr) {
-      util::Rng rng =
-          root.split(2 * static_cast<std::uint64_t>(n));
-      // FaultProcess::sample over a 1-node machine is exactly the per-node
-      // renewal process (exp or mean-pinned Weibull interarrivals).
-      for (ft::FaultEvent ev : crashes->sample(1, horizon_seconds, rng)) {
-        ev.node = n;
-        schedule.push_back(ev);
-      }
+      s.rng = root.split(stream);
+      // The first event is the next one after a virtual event at t = 0.
+      s.pending.time = 0.0;
+      s.pending.kind = ft::FailureKind::kProcessCrash;
+      s.pending.node = n;
+      if (advance(s)) heap_.push_back(s);
     }
     if (sdc != nullptr) {
-      util::Rng rng =
-          root.split(2 * static_cast<std::uint64_t>(n) + 1);
-      for (ft::FaultEvent ev : sdc->sample_node(horizon_seconds, rng)) {
-        ev.node = n;
-        schedule.push_back(ev);
-      }
+      s.rng = root.split(stream + 1);
+      s.pending.time = 0.0;
+      s.pending.kind = ft::FailureKind::kSilentCorruption;
+      s.pending.node = n;
+      if (advance(s)) heap_.push_back(s);
     }
   }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const ft::FaultEvent& a, const ft::FaultEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.node != b.node) return a.node < b.node;
-              return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-            });
-  return schedule;
+  std::make_heap(heap_.begin(), heap_.end(), later);
+}
+
+FaultStream::FaultStream(std::vector<ft::FaultEvent> trace,
+                         std::int64_t nodes)
+    : trace_(std::move(trace)) {
+  validate_schedule(trace_, nodes);
+}
+
+bool FaultStream::advance(Source& s) const {
+  const std::int64_t node = s.pending.node;
+  // FaultProcess::next_after over a 1-node machine is exactly the per-node
+  // renewal process (exp or mean-pinned Weibull interarrivals).
+  s.pending = s.pending.kind == ft::FailureKind::kSilentCorruption
+                  ? sdc_->next_after(s.pending.time, s.rng)
+                  : crashes_->next_after(s.pending.time, 1, s.rng);
+  s.pending.node = node;
+  return s.pending.time < horizon_;
+}
+
+ft::FaultEvent FaultStream::next(double from) {
+  // Sampled: pop the earliest pending event and refill only its stream.
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const ft::FaultEvent ev = heap_.back().pending;
+    if (advance(heap_.back()))
+      std::push_heap(heap_.begin(), heap_.end(), later);
+    else
+      heap_.pop_back();
+    if (ev.time >= from) return ev;
+  }
+  // Replayed (a sampled stream has no trace).
+  while (trace_pos_ < trace_.size() && trace_[trace_pos_].time < from)
+    ++trace_pos_;
+  if (trace_pos_ < trace_.size()) return trace_[trace_pos_++];
+  ft::FaultEvent none;
+  none.time = kNoFault;
+  return none;
 }
 
 void validate_schedule(const std::vector<ft::FaultEvent>& schedule,

@@ -12,23 +12,14 @@ SdcProcess::SdcProcess(double node_mtbe_seconds, double mean_detect_seconds)
     throw std::invalid_argument("SDC detection latency must be >= 0");
 }
 
-std::vector<ft::FaultEvent> SdcProcess::sample_node(double horizon_seconds,
-                                                    util::Rng& rng) const {
-  std::vector<ft::FaultEvent> events;
-  const double rate = 1.0 / mtbe_;
-  double t = 0.0;
-  for (;;) {
-    t += rng.exponential(rate);
-    if (t >= horizon_seconds) break;
-    ft::FaultEvent ev;
-    ev.time = t;
-    ev.node = 0;
-    ev.kind = ft::FailureKind::kSilentCorruption;
-    ev.detect_after =
-        mean_detect_ > 0.0 ? rng.exponential(1.0 / mean_detect_) : 0.0;
-    events.push_back(ev);
-  }
-  return events;
+ft::FaultEvent SdcProcess::next_after(double from, util::Rng& rng) const {
+  ft::FaultEvent ev;
+  ev.time = from + rng.exponential(1.0 / mtbe_);
+  ev.node = 0;
+  ev.kind = ft::FailureKind::kSilentCorruption;
+  ev.detect_after =
+      mean_detect_ > 0.0 ? rng.exponential(1.0 / mean_detect_) : 0.0;
+  return ev;
 }
 
 }  // namespace ftbesst::inject

@@ -18,9 +18,6 @@
 // exponential with a configurable mean, or exactly zero for an ideal
 // instant detector.
 
-#include <cstdint>
-#include <vector>
-
 #include "ft/faults.hpp"
 #include "util/rng.hpp"
 
@@ -35,11 +32,10 @@ class SdcProcess {
   explicit SdcProcess(double node_mtbe_seconds,
                       double mean_detect_seconds = 0.0);
 
-  /// All corruption events on ONE node in [0, horizon_seconds), time-ordered,
-  /// kind kSilentCorruption, node id 0 (the caller assigns the real id).
-  /// Each event carries its drawn detect_after latency.
-  [[nodiscard]] std::vector<ft::FaultEvent> sample_node(
-      double horizon_seconds, util::Rng& rng) const;
+  /// The first corruption on ONE node after `from`: kind
+  /// kSilentCorruption, node id 0 (the caller assigns the real id). Draws
+  /// the exponential interarrival, then the detect_after latency.
+  [[nodiscard]] ft::FaultEvent next_after(double from, util::Rng& rng) const;
 
  private:
   double mtbe_;

@@ -190,51 +190,4 @@ std::uint64_t DesNetwork::delivered() const noexcept {
   return total;
 }
 
-std::vector<sim::FoldSpec> DesNetwork::fold_specs() const {
-  // Port roles in the metadata: 0 = down/host side, 1 = up side.
-  constexpr std::uint32_t kDown = 0;
-  constexpr std::uint32_t kUp = 1;
-  const NodeId nodes = topo_->num_nodes();
-  const NodeId nleaves = topo_->num_leaves();
-  const NodeId nspines = topo_->num_spines();
-  const auto leaf0 = static_cast<std::size_t>(nodes);
-  const std::size_t spine0 = leaf0 + static_cast<std::size_t>(nleaves);
-
-  std::uint64_t config = sim::kFoldDigestSeed;
-  config = sim::fold_digest_f64(config, params_.bandwidth);
-  config = sim::fold_digest_f64(config, params_.injection_latency);
-  config = sim::fold_digest_f64(config, params_.sw_latency);
-
-  std::vector<sim::FoldSpec> specs(spine0 + static_cast<std::size_t>(nspines));
-  auto sign = [&](std::size_t i, const char* type) {
-    specs[i].signature.type = type;
-    specs[i].signature.behavior_digest = sim::kFoldDigestSeed;
-    specs[i].signature.config_digest = config;
-  };
-  for (NodeId n = 0; n < nodes; ++n) sign(static_cast<std::size_t>(n), "nic");
-  for (NodeId l = 0; l < nleaves; ++l) sign(leaf0 + l, "leaf-switch");
-  for (NodeId s = 0; s < nspines; ++s) sign(spine0 + s, "spine-switch");
-
-  // Mirror the constructor's wiring, including its minimum-1-tick clamps.
-  const auto inj = std::max<sim::SimTime>(
-      sim::from_seconds(params_.injection_latency), 1);
-  const auto hop =
-      std::max<sim::SimTime>(sim::from_seconds(params_.sw_latency), 1);
-  for (NodeId n = 0; n < nodes; ++n) {
-    const std::size_t leaf = leaf0 + static_cast<std::size_t>(topo_->leaf_of(n));
-    specs[static_cast<std::size_t>(n)].links.push_back(
-        sim::FoldEndpoint{kUp, kDown, inj, leaf});
-    specs[leaf].links.push_back(
-        sim::FoldEndpoint{kDown, kUp, inj, static_cast<std::size_t>(n)});
-  }
-  for (NodeId l = 0; l < nleaves; ++l)
-    for (NodeId s = 0; s < nspines; ++s) {
-      specs[leaf0 + l].links.push_back(
-          sim::FoldEndpoint{kUp, kDown, hop, spine0 + s});
-      specs[spine0 + s].links.push_back(
-          sim::FoldEndpoint{kDown, kUp, hop, leaf0 + l});
-    }
-  return specs;
-}
-
 }  // namespace ftbesst::net

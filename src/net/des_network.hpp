@@ -13,6 +13,10 @@
 // ECMP (spine chosen by flow hash). Each switch output port is a
 // store-and-forward serializer: a message occupies the port for
 // bytes/bandwidth seconds; later messages queue behind it.
+//
+// Every component here is its own: ECMP spine choice and delivery handlers
+// address concrete node ids, so the substrate never folds, and run_des
+// keeps every rank a singleton when it executes exchanges through it.
 
 #include <cstdint>
 #include <functional>
@@ -21,7 +25,6 @@
 
 #include "net/comm.hpp"
 #include "net/topology.hpp"
-#include "sim/fold.hpp"
 #include "sim/simulation.hpp"
 
 namespace ftbesst::net {
@@ -60,18 +63,6 @@ class DesNetwork {
   /// Total messages delivered so far.
   [[nodiscard]] std::uint64_t delivered() const noexcept;
 
-  /// Detection-only symmetry metadata: one FoldSpec per substrate
-  /// component, ordered [NICs 0..num_nodes), leaves, spines], with peers
-  /// as indices into the returned vector. Ports are canonicalized to roles
-  /// (0 = down/host side, 1 = up side) because every port of a role is
-  /// behaviourally identical under the store-and-forward serialization
-  /// model. On a symmetric fat-tree, sim::plan_folds collapses this to
-  /// exactly three equivalence classes — NIC, leaf, spine. The *executed*
-  /// substrate never folds at runtime (ECMP spine choice and delivery
-  /// handlers depend on concrete node ids — the reason run_des disables
-  /// rank folding under use_des_network); this metadata drives fold
-  /// planning, analyses and tests.
-  [[nodiscard]] std::vector<sim::FoldSpec> fold_specs() const;
 
  private:
   class Nic;

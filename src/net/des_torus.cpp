@@ -162,43 +162,4 @@ std::uint64_t DesTorus::total_hops() const noexcept {
   return total;
 }
 
-std::vector<sim::FoldSpec> DesTorus::fold_specs() const {
-  std::uint64_t config = sim::kFoldDigestSeed;
-  config = sim::fold_digest_f64(config, params_.bandwidth);
-  config = sim::fold_digest_f64(config, params_.injection_latency);
-  config = sim::fold_digest_f64(config, params_.sw_latency);
-  config = sim::fold_digest_u64(config,
-                                static_cast<std::uint64_t>(routing_));
-  const auto& dims = topo_->dims();
-  config = sim::fold_digest_u64(config, dims.size());
-  for (const NodeId k : dims)
-    config = sim::fold_digest_u64(config, static_cast<std::uint64_t>(k));
-
-  std::vector<sim::FoldSpec> specs(
-      static_cast<std::size_t>(topo_->num_nodes()));
-  for (auto& spec : specs) {
-    spec.signature.type = "torus-router";
-    spec.signature.behavior_digest = sim::kFoldDigestSeed;
-    spec.signature.config_digest = config;
-  }
-  const auto hop =
-      std::max<sim::SimTime>(sim::from_seconds(params_.sw_latency), 1);
-  for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
-    auto coords = topo_->coords(n);
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      if (dims[d] < 2) continue;
-      auto next = coords;
-      next[d] = (coords[d] + 1) % dims[d];
-      const NodeId peer = topo_->node_at(next);
-      const auto plus = static_cast<std::uint32_t>(2 * d + 1);
-      const auto minus = static_cast<std::uint32_t>(2 * d);
-      specs[static_cast<std::size_t>(n)].links.push_back(
-          sim::FoldEndpoint{plus, minus, hop, static_cast<std::size_t>(peer)});
-      specs[static_cast<std::size_t>(peer)].links.push_back(
-          sim::FoldEndpoint{minus, plus, hop, static_cast<std::size_t>(n)});
-    }
-  }
-  return specs;
-}
-
 }  // namespace ftbesst::net

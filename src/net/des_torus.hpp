@@ -7,7 +7,9 @@
 // (resolve dimension 0 first, taking the shorter ring direction, then
 // dimension 1, ...), the classic deadlock-free torus scheme. Every output
 // port is a store-and-forward serializer, so link contention emerges from
-// the event timeline exactly as in the fat-tree substrate.
+// the event timeline exactly as in the fat-tree substrate. As there,
+// routing and delivery handlers address concrete nodes, so the substrate
+// never folds.
 
 #include <cstdint>
 #include <functional>
@@ -43,14 +45,6 @@ class DesTorus {
   /// validating dimension-order routing against Topology::hops).
   [[nodiscard]] std::uint64_t total_hops() const noexcept;
 
-  /// Detection-only symmetry metadata: one FoldSpec per router (indices =
-  /// node ids), mirroring the constructor's ring wiring (dimension-d plus
-  /// port 2d+1 to the neighbour's minus port 2d). On a symmetric torus
-  /// every router lands in a single equivalence class under
-  /// sim::plan_folds. As with the fat-tree substrate, the executed network
-  /// never folds at runtime (routing and delivery handlers address
-  /// concrete nodes); the metadata is for planning and tests.
-  [[nodiscard]] std::vector<sim::FoldSpec> fold_specs() const;
 
  private:
   class Router;

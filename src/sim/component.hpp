@@ -28,8 +28,8 @@ class Component {
   [[nodiscard]] ComponentId id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   /// Number of identical model entities this component stands for under
-  /// symmetry folding (sim/fold.hpp). 1 for ordinary components; a fold
-  /// representative carries its group's size and aggregate_counters() scales
+  /// symmetry folding. 1 for ordinary components; a fold
+  /// representative carries its class's size and aggregate_counters() scales
   /// the component's counters by it, so folded and unfolded runs report
   /// identical totals.
   [[nodiscard]] std::uint64_t multiplicity() const noexcept {

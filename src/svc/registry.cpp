@@ -380,10 +380,8 @@ Json op_inject(const Registry& registry, const Json& request) {
   opt.engine = point.run.options;
   opt.use_des = request.int_or("use_des", 1) != 0;
   // Bound the simulation horizon from a clean deterministic run (same
-  // formula as verify::build). The DES materializes each node's fault
-  // schedule across the whole horizon, so leaving the 1e8-second default
-  // in place would sample millions of never-reached faults per trial at
-  // service-scale MTBFs.
+  // formula as verify::build), so a thrashing configuration is abandoned
+  // there instead of running to the 1e8-second default.
   core::EngineOptions clean = point.run.options;
   clean.inject_faults = false;
   clean.monte_carlo = false;

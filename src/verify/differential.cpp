@@ -115,8 +115,8 @@ void check_engines(const Scenario& s, const DiffTolerances& tol,
 }
 
 // --- leg 2b: run_des folded vs unfolded, bit-identical ---
-// Symmetry folding (sim/fold.hpp) collapses equivalent rank components to
-// one representative per class and scales counters by multiplicity at
+// Symmetry folding (core::run_des) collapses the ranks of a run to one
+// representative carrying multiplicity N and scales counters by it at
 // aggregation. It is a pure execution-cost optimization: every prediction
 // field must match the unfolded run bit for bit, and the folded run must
 // touch no more PDES events than the unfolded one. Skipped above

@@ -21,7 +21,7 @@
 //    (sim/time.hpp), so quantization error grows with program length.
 //    Totals and the per-timestep trace are both checked.
 //  * run_des folded vs unfolded (clean, deterministic): bit-identical —
-//    symmetry folding (sim/fold.hpp) is a pure execution-cost optimization
+//    symmetry folding (core::run_des) is a pure execution-cost optimization
 //    and must never change a prediction. Every field core::bit_difference
 //    compares must match; the folded run must also process no more events
 //    than the unfolded one. Scenarios above kMaxUnfoldedRanks skip this
