@@ -232,46 +232,4 @@ FaultModelEstimate estimate_fault_model(const std::vector<FaultEvent>& events,
   return est;
 }
 
-FoldLossAccount account_fold_losses(
-    const std::vector<FaultEvent>& events,
-    const std::vector<std::size_t>& group_of_node,
-    const std::vector<std::uint64_t>& multiplicity) {
-  for (std::size_t g : group_of_node)
-    if (g >= multiplicity.size())
-      throw std::invalid_argument(
-          "account_fold_losses: group index outside multiplicity table");
-  for (std::uint64_t m : multiplicity)
-    if (m == 0)
-      throw std::invalid_argument("account_fold_losses: zero multiplicity");
-
-  FoldLossAccount account;
-  account.events_per_group.assign(multiplicity.size(), 0);
-  account.losses_per_group.assign(multiplicity.size(), 0);
-  account.machine_fault_share.assign(multiplicity.size(), 0.0);
-  for (const FaultEvent& ev : events) {
-    if (ev.node < 0 ||
-        static_cast<std::size_t>(ev.node) >= group_of_node.size())
-      throw std::invalid_argument(
-          "account_fold_losses: event names an unknown node");
-    const std::size_t g = group_of_node[static_cast<std::size_t>(ev.node)];
-    ++account.events_per_group[g];
-    if (ev.kind == FailureKind::kNodeLoss) ++account.losses_per_group[g];
-  }
-
-  std::uint64_t weighted_losses = 0;
-  for (std::size_t g = 0; g < multiplicity.size(); ++g) {
-    account.weighted_events += account.events_per_group[g] * multiplicity[g];
-    weighted_losses += account.losses_per_group[g] * multiplicity[g];
-  }
-  if (account.weighted_events > 0) {
-    for (std::size_t g = 0; g < multiplicity.size(); ++g)
-      account.machine_fault_share[g] =
-          static_cast<double>(account.events_per_group[g] * multiplicity[g]) /
-          static_cast<double>(account.weighted_events);
-    account.node_loss_fraction = static_cast<double>(weighted_losses) /
-                                 static_cast<double>(account.weighted_events);
-  }
-  return account;
-}
-
 }  // namespace ftbesst::ft

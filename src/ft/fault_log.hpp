@@ -99,35 +99,4 @@ struct FaultModelEstimate {
 /// (bisection on k in [0.2, 10]; clamped at the ends).
 [[nodiscard]] double weibull_shape_from_cv(double cv);
 
-/// Per-fold-group fault accounting. Under symmetry folding
-/// a machine model keeps one representative node per equivalence class;
-/// a fault log recorded against such a model names representatives, each
-/// standing for `multiplicity[g]` physical nodes' worth of exposure. This
-/// scales the per-class tallies back up to machine level so loss fractions
-/// of folded and unfolded studies agree.
-struct FoldLossAccount {
-  /// Raw logged events naming a member of each group.
-  std::vector<std::uint64_t> events_per_group;
-  /// Raw node-loss events (FailureKind::kNodeLoss) per group.
-  std::vector<std::uint64_t> losses_per_group;
-  /// Multiplicity-weighted share of machine-level faults attributed to
-  /// each group (sums to 1 when any events exist, all-zero otherwise).
-  std::vector<double> machine_fault_share;
-  /// Machine-level event total: sum over groups of events * multiplicity.
-  std::uint64_t weighted_events = 0;
-  /// Machine-level node-loss fraction: weighted losses / weighted events
-  /// (1.0 when the log is empty, matching FaultModelEstimate's default).
-  double node_loss_fraction = 1.0;
-};
-
-/// Aggregate `events` over fold groups. `group_of_node[n]` maps a logged
-/// node id to its fold group; `multiplicity[g]` is the number of physical
-/// nodes group g stands for (>= 1). Throws std::invalid_argument on a node
-/// id outside `group_of_node`, a group index outside `multiplicity`, or a
-/// zero multiplicity.
-[[nodiscard]] FoldLossAccount account_fold_losses(
-    const std::vector<FaultEvent>& events,
-    const std::vector<std::size_t>& group_of_node,
-    const std::vector<std::uint64_t>& multiplicity);
-
 }  // namespace ftbesst::ft

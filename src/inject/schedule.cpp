@@ -23,26 +23,21 @@ FaultStream::FaultStream(const ft::FaultProcess* crashes,
   if (nodes < 1) throw std::invalid_argument("schedule needs nodes >= 1");
   if (!std::isfinite(horizon_seconds) || horizon_seconds < 0.0)
     throw std::invalid_argument("schedule horizon must be finite and >= 0");
-  heap_.reserve(static_cast<std::size_t>(nodes) *
-                ((crashes != nullptr ? 1 : 0) + (sdc != nullptr ? 1 : 0)));
+  // Each stream's first event is the next one after a virtual event at
+  // t = 0 (a default FaultEvent's time).
+  auto add = [&](std::uint64_t stream, std::int64_t node,
+                 ft::FailureKind kind) {
+    Source s;
+    s.rng = root.split(stream);
+    s.pending.node = node;
+    s.pending.kind = kind;
+    if (advance(s)) heap_.push_back(s);
+  };
+  heap_.reserve(2 * static_cast<std::size_t>(nodes));
   for (std::int64_t n = 0; n < nodes; ++n) {
     const auto stream = 2 * static_cast<std::uint64_t>(n);
-    Source s;
-    if (crashes != nullptr) {
-      s.rng = root.split(stream);
-      // The first event is the next one after a virtual event at t = 0.
-      s.pending.time = 0.0;
-      s.pending.kind = ft::FailureKind::kProcessCrash;
-      s.pending.node = n;
-      if (advance(s)) heap_.push_back(s);
-    }
-    if (sdc != nullptr) {
-      s.rng = root.split(stream + 1);
-      s.pending.time = 0.0;
-      s.pending.kind = ft::FailureKind::kSilentCorruption;
-      s.pending.node = n;
-      if (advance(s)) heap_.push_back(s);
-    }
+    if (crashes != nullptr) add(stream, n, ft::FailureKind::kProcessCrash);
+    if (sdc != nullptr) add(stream + 1, n, ft::FailureKind::kSilentCorruption);
   }
   std::make_heap(heap_.begin(), heap_.end(), later);
 }
